@@ -30,19 +30,15 @@ __all__ = [
     "EffectiveTaps",
     "DelaySpreadProfile",
     "InterferenceConfig",
-    "SnrSpec",
     "profile_preset",
     "generate_multipath",
     "energy_duration_95",
     "effective_taps",
     "apply_channel",
     "noise_psd_from_eta",
-    "add_awgn",
     "add_interference",
     "apply_cfo",
     "assemble_stream",
-    "channel_to_text",
-    "channel_from_text",
 ]
 
 
@@ -129,24 +125,6 @@ class InterferenceConfig:
         lo, hi = self.band_edges_hz
         if lo > hi:
             raise ValueError("band edges must satisfy low <= high")
-
-
-@dataclass(frozen=True)
-class SnrSpec:
-    """Requested operating point: chip SNR in dB, or a direct noise PSD.
-
-    Exactly one of the two drives add_awgn; when eta_db is set, N0 is
-    calibrated per realization from the effective taps.
-    """
-
-    eta_db: float | None = None
-    noise_psd: float | None = None
-
-    def __post_init__(self):
-        if self.eta_db is None and self.noise_psd is None:
-            raise ValueError("set eta_db or noise_psd")
-        if self.noise_psd is not None and not self.noise_psd > 0.0:
-            raise ValueError("noise_psd must be positive")
 
 
 # decay constants (ns) calibrated by Monte Carlo so the ensemble-mean
@@ -257,32 +235,6 @@ def noise_psd_from_eta(eta_db: float, theta: EffectiveTaps, num_subbands: int) -
     return theta.energy / (num_subbands * 10.0 ** (eta_db / 10.0))
 
 
-def add_awgn(
-    signal: ComplexSignal,
-    snr: SnrSpec,
-    theta: EffectiveTaps | None,
-    num_subbands: int,
-    seed: int,
-) -> ComplexSignal:
-    """Add circular complex Gaussian noise calibrated to the SNR spec.
-
-    N0 is stated at the matched-filter output plane (see module note),
-    so the per-sample variance added to the stream is N0/L.
-    """
-    if snr.noise_psd is not None:
-        n0 = snr.noise_psd
-    else:
-        if theta is None:
-            raise ValueError("eta calibration needs effective taps")
-        n0 = noise_psd_from_eta(snr.eta_db, theta, num_subbands)
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(n0 / num_subbands / 2.0)
-    noise = scale * (
-        rng.standard_normal(len(signal)) + 1j * rng.standard_normal(len(signal))
-    )
-    return ComplexSignal(signal.samples + noise, signal.sample_rate_hz)
-
-
 def _lowpass_taps(cutoff_norm: float, num_taps: int = 128) -> np.ndarray:
     """Windowed-sinc lowpass, unity passband gain, cutoff in cycles/sample."""
     n = np.arange(num_taps) - (num_taps - 1) / 2.0
@@ -365,25 +317,3 @@ def assemble_stream(
     stream = scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
     stream[lead_samples : lead_samples + body.size] += body
     return ComplexSignal(stream, fs), lead_samples
-
-
-def channel_to_text(channel: ChannelRealization) -> str:
-    """Human-readable serialization: one 'delay_s re im' line per tap."""
-    lines = ["# channel taps: delay_s gain_re gain_im"]
-    for d, g in zip(channel.delays_s, channel.gains):
-        lines.append(f"{float(d)!r} {float(g.real)!r} {float(g.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def channel_from_text(text: str) -> ChannelRealization:
-    delays, gains = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed channel line: {line!r}")
-        delays.append(float(parts[0]))
-        gains.append(complex(float(parts[1]), float(parts[2])))
-    return ChannelRealization(delays_s=np.array(delays), gains=np.array(gains))

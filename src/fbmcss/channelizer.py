@@ -1,11 +1,17 @@
 """Streaming cascade filter-bank detection path.
 
-The pipeline splits the input into L overlapping subcarrier bands with a
-polyphase analysis bank built on the transmit prototype (so analysis
-doubles as per-band pulse matched filtering), tracks per-band noise
-power over a FIFO window, applies conjugate-spreading whitening gains,
-resynthesizes a full-rate stream, correlates it against the preamble
-comb, and emits one score value per L input samples.
+The detector is one chain of stage functions, each advancing its own
+state object: `afb_process` splits the input into L overlapping
+subcarrier bands with a polyphase analysis bank built on the transmit
+prototype (so analysis doubles as per-band pulse matched filtering);
+whitening scales each band by its conjugate code over the band's noise
+power, either pinned (`whiten_and_synthesize`) or estimated per hop
+from the trailing power window (`CascadeDetector`); `_synthesize`
+resynthesizes a full-rate stream; `matched_filter_bank` correlates it
+against the preamble comb; and the Rao score 2*energy/beta is emitted
+once per L input samples.  `CascadeDetector.push` runs that chain.
+Estimated whitening needs a full window before its first hop, which
+delays the first scored anchor; `tracked_first_anchor` is that rule.
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -21,7 +27,6 @@ one-shot processing bit-identical.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,20 +42,16 @@ __all__ = [
     "ChannelizerConfig",
     "DetectionEvent",
     "DetectionReport",
-    "FifoHistory",
     "SubbandFrame",
     "afb_process",
     "analysis_state",
     "config_from_waveform",
     "detect_stream",
-    "dump_subband_frames",
     "estimate_band_power",
-    "fifo_history",
     "matched_filter_bank",
     "mf_state",
-    "peak_statistic",
-    "srb_statistic_stream",
     "synthesis_state",
+    "tracked_first_anchor",
     "whiten_and_synthesize",
 ]
 
@@ -160,74 +161,29 @@ class BandPowerEstimate:
             raise ValueError("phi_hat entries must be positive and finite")
 
 
-@dataclass
-class FifoHistory:
-    """Ring buffer of the last `capacity` analysis samples per band."""
-
-    buffer: np.ndarray
-    count: int = 0
-    cursor: int = 0
-
-    @property
-    def capacity(self) -> int:
-        return int(self.buffer.shape[1])
-
-    @property
-    def full(self) -> bool:
-        return self.count >= self.capacity
-
-    def push(self, columns: np.ndarray) -> None:
-        cols = np.asarray(columns, dtype=np.complex128)
-        if cols.ndim == 1:
-            cols = cols[:, None]
-        if cols.shape[0] != self.buffer.shape[0]:
-            raise ValueError("band count mismatch")
-        cap = self.capacity
-        if cols.shape[1] >= cap:
-            self.buffer[:, :] = cols[:, -cap:]
-            self.cursor = 0
-            self.count = cap
-            return
-        for j in range(cols.shape[1]):
-            self.buffer[:, self.cursor] = cols[:, j]
-            self.cursor = (self.cursor + 1) % cap
-            self.count = min(self.count + 1, cap)
-
-    def snapshot(self) -> np.ndarray:
-        """Contents in arrival order, oldest first."""
-        if self.count < self.capacity:
-            return self.buffer[:, : self.count].copy()
-        return np.concatenate(
-            [self.buffer[:, self.cursor :], self.buffer[:, : self.cursor]], axis=1
-        )
-
-
-def fifo_history(cfg: ChannelizerConfig) -> FifoHistory:
-    return FifoHistory(
-        buffer=np.zeros((cfg.num_subbands, cfg.fifo_capacity), dtype=np.complex128)
-    )
-
-
-def _scale_power(mean_square: np.ndarray, num_subbands: int) -> np.ndarray:
-    """Refer subband mean squares to the full-rate plane and floor them.
+def _band_power(power: np.ndarray) -> np.ndarray:
+    """Per-band PSD from a contiguous (bands, window) block of |x|^2.
 
     The unit-energy analysis filter concentrates a band's PSD, so the
     full-rate per-band PSD is L times the subband sample variance; the
     chi-squared threshold calibration depends on this reference plane.
     The floor keeps silent bands from blowing up the whitening division.
+    Both the one-shot estimate and the tracked per-hop loop reduce
+    through here, so they agree bit for bit.
     """
-    phi = num_subbands * mean_square
+    phi = power.shape[0] * np.mean(power, axis=1)
     med = float(np.median(phi))
     floor = _POWER_FLOOR_RATIO * med if med > 0.0 else np.finfo(np.float64).tiny
     return np.maximum(phi, floor)
 
 
-def estimate_band_power(history: FifoHistory) -> BandPowerEstimate:
-    if history.count == 0:
-        raise ValueError("history is empty")
-    snap = history.snapshot()
-    mean_square = np.mean(snap.real**2 + snap.imag**2, axis=1)
-    return BandPowerEstimate(phi_hat=_scale_power(mean_square, history.buffer.shape[0]))
+def estimate_band_power(block) -> BandPowerEstimate:
+    """Band PSDs from a (bands, window) block of analysis samples."""
+    v = np.asarray(block, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError("need a nonempty bands x window block")
+    power = np.ascontiguousarray(v.real**2 + v.imag**2)
+    return BandPowerEstimate(phi_hat=_band_power(power))
 
 
 def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> np.ndarray:
@@ -331,9 +287,10 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
     col = np.arange(l)
     for lo in range(0, n_hops, _AFB_BLOCK_HOPS):
         hi = min(lo + _AFB_BLOCK_HOPS, n_hops)
-        block = windows[lo:hi] * taps
+        # multiply straight into the zero-padded fold buffer: one
+        # hops x taps temporary instead of two
         padded = np.zeros((hi - lo, span_slots * l), dtype=np.complex128)
-        padded[:, : taps.size] = block
+        np.multiply(windows[lo:hi], taps, out=padded[:, : taps.size])
         folded = padded.reshape(hi - lo, span_slots, l).sum(axis=1)
         rolled = folded[np.arange(hi - lo)[:, None], (col[None, :] - shift[lo:hi, None]) % l]
         out[lo:hi] = np.fft.fft(rolled, axis=1)
@@ -382,6 +339,11 @@ class SynthesisState:
         """How many past analysis hops one output sample can reference."""
         return (self.interp.size - 1) // self.cfg.hop + 1
 
+    @property
+    def delay(self) -> int:
+        """Interpolator group delay in samples (odd length keeps it whole)."""
+        return (self.interp.size - 1) // 2
+
 
 def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
     nu = (2.0 * np.arange(cfg.num_subbands) - cfg.num_subbands - 1.0) / (
@@ -415,7 +377,7 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     d = cfg.hop
     r = cfg.outputs_per_symbol
     taps = state.interp
-    delay = (taps.size - 1) // 2
+    delay = state.delay
     lag = state.lag_hops
     if not state.started:
         # the missing history before the stream is silence
@@ -459,11 +421,28 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     return out
 
 
-def _scaled_residues(
-    frame_values: np.ndarray, gains: np.ndarray, state: SynthesisState
+def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
+    """First anchor a CascadeDetector with estimated power scores.
+
+    Hop h is whitened with the power over hops [h - fifo_capacity, h),
+    so hops before fifo_capacity have no estimate.  The anchor is the
+    smallest multiple of L whose oldest contributing hop, through the
+    synthesis interpolator delay, has a full window.
+    """
+    first_m = (cfg.fifo_capacity - 1) * cfg.hop + synthesis_state(cfg).delay + 1
+    return -(-first_m // cfg.num_subbands) * cfg.num_subbands
+
+
+def _whitened_residues(
+    values: np.ndarray, phi: np.ndarray, state: SynthesisState
 ) -> np.ndarray:
-    """Apply per-band gains and invert across bands: one row per hop."""
-    scaled = _stable_product(frame_values.T, gains)
+    """Scale (bands, hops) samples by conj-code over phi, invert across bands.
+
+    phi is one profile (L,) for every hop or one row per hop (hops, L);
+    broadcasting covers both.  Returns one row per hop.
+    """
+    gains = _stable_quotient(state.weights, phi)
+    scaled = _stable_product(values.T, gains)
     return np.fft.ifft(scaled, axis=1) * state.cfg.num_subbands
 
 
@@ -483,8 +462,7 @@ def whiten_and_synthesize(
         raise ValueError("frame band count does not match config")
     if power.phi_hat.size != cfg.num_subbands:
         raise ValueError("power estimate length does not match config")
-    gains = _stable_quotient(state.weights, power.phi_hat)
-    z = _scaled_residues(frame.values, gains, state)
+    z = _whitened_residues(frame.values, power.phi_hat, state)
     out = _synthesize(z, state)
     return ComplexSignal(out, frame.band_rate_hz * cfg.hop)
 
@@ -538,16 +516,6 @@ def matched_filter_bank(
     return out
 
 
-def srb_statistic_stream(branches: np.ndarray, beta: float) -> np.ndarray:
-    """Rao score values: 2/beta times the summed branch energies."""
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    b = np.asarray(branches, dtype=np.complex128)
-    if b.ndim != 2:
-        raise ValueError("branches must be a p x time matrix")
-    return (2.0 / beta) * (b.real**2 + b.imag**2).sum(axis=0)
-
-
 @dataclass(frozen=True)
 class DetectionEvent:
     index: int
@@ -563,11 +531,14 @@ class DetectionReport:
 class CascadeDetector:
     """Stateful end-to-end pipeline: push samples, get scored windows.
 
-    One instance per stream; single writer.  With power_override the
-    whitening gains and beta are pinned (calibration mode) and scoring
-    starts at anchor zero; otherwise per-band power is estimated from
-    the trailing FIFO window, strictly before the sample being scaled,
-    and scoring starts once every contributing hop had a full FIFO.
+    One instance per stream; single writer.  push chains the stage
+    functions: afb_process, whitening, synthesis, matched_filter_bank,
+    then the score 2*energy/beta.  With power_override the whitening
+    gains and beta are pinned (calibration mode, whiten_and_synthesize)
+    and scoring starts at anchor zero.  Otherwise each hop is whitened
+    with the band power over the trailing fifo_capacity hops, strictly
+    before it, reduced like estimate_band_power; scoring then starts at
+    tracked_first_anchor(cfg), the one home of that warm-up rule.
     """
 
     def __init__(
@@ -581,43 +552,30 @@ class CascadeDetector:
         self._sfb = synthesis_state(cfg)
         self._mf = mf_state(cfg)
         self._override = None
+        self._beta_const = None
+        self._min_anchor = 0
         if power_override is not None:
             values = getattr(power_override, "phi_hat", power_override)
             phi = np.asarray(values, dtype=np.float64)
             if phi.size != cfg.num_subbands:
                 raise ValueError("power override length does not match config")
-            self._override = phi
+            self._override = BandPowerEstimate(phi)
+            self._beta_const = compute_beta(phi, cfg.preamble_length, cfg.num_subbands)
+        else:
+            self._min_anchor = tracked_first_anchor(cfg)
         self._power_tail = np.zeros((0, cfg.num_subbands))
         self._power_tail_hop = 0
         self._beta_by_hop: dict[int, float] = {}
-        self._beta_floor_hop = 0
         self.power_trace: list[tuple[int, np.ndarray]] = [] if record_power else None
-        if power_override is not None:
-            self._min_anchor = 0
-            self._beta_const = compute_beta(
-                power_override, cfg.preamble_length, cfg.num_subbands
-            )
-        else:
-            self._beta_const = None
-            # smallest m whose oldest contributing hop has a full
-            # strictly-past power window (hop >= fifo_capacity)
-            delay = (self._sfb.interp.size - 1) // 2
-            first_m = (cfg.fifo_capacity - 1) * cfg.hop + delay + 1
-            self._min_anchor = -(-first_m // cfg.num_subbands) * cfg.num_subbands
 
     def push(self, chunk) -> tuple[np.ndarray, np.ndarray]:
         """Process more samples; returns (anchor indices, statistics)."""
         cfg = self.cfg
         frame = afb_process(chunk, cfg, self._afb)
-        hops = frame.values.shape[1]
         if self._override is not None:
-            gains = _stable_quotient(self._sfb.weights, self._override)
-            z = _scaled_residues(frame.values, gains, self._sfb) if hops else np.zeros(
-                (0, cfg.num_subbands), dtype=np.complex128
-            )
+            y_new = whiten_and_synthesize(frame, self._override, cfg, self._sfb)
         else:
-            z = self._whiten_tracked(frame)
-        y_new = _synthesize(z, self._sfb)
+            y_new = _synthesize(self._whiten_tracked(frame), self._sfb)
         branches = matched_filter_bank(y_new, cfg, self._mf)
         n_win = branches.shape[1]
         if n_win == 0:
@@ -625,9 +583,9 @@ class CascadeDetector:
         first = self._mf.next_anchor - n_win
         anchors = (first + np.arange(n_win)) * cfg.num_subbands
         energies = (branches.real**2 + branches.imag**2).sum(axis=0)
-        stats = 2.0 * energies / self._betas_for(anchors)
         keep = anchors >= self._min_anchor
-        return anchors[keep], stats[keep]
+        anchors = anchors[keep]
+        return anchors, 2.0 * energies[keep] / self._betas_for(anchors)
 
     def _whiten_tracked(self, frame: SubbandFrame) -> np.ndarray:
         """Per-hop gains from the trailing power window, strictly causal."""
@@ -643,14 +601,12 @@ class CascadeDetector:
         first_scaled = max(frame.start_hop, cap)
         count = frame.start_hop + hops - first_scaled
         if count > 0:
-            # per hop, reduce a contiguous (bands, cap) snapshot exactly
-            # like estimate_band_power does, so FIFO-based estimates and
-            # any chunking of the stream give bit-identical results
+            # per hop, reduce a contiguous (bands, cap) snapshot, so any
+            # chunking of the stream gives bit-identical estimates
             phis = np.empty((count, l))
             for row in range(count):
                 a = first_scaled + row - cap - series_base
-                snap = np.ascontiguousarray(series[a : a + cap].T)
-                phi = _scale_power(np.mean(snap, axis=1), l)
+                phi = _band_power(np.ascontiguousarray(series[a : a + cap].T))
                 phis[row] = phi
                 self._beta_by_hop[first_scaled + row] = compute_beta(
                     phi, cfg.preamble_length, l
@@ -658,11 +614,8 @@ class CascadeDetector:
             if self.power_trace is not None:
                 for row in range(count):
                     self.power_trace.append((first_scaled + row, phis[row].copy()))
-            scaled = _stable_product(
-                frame.values[:, first_scaled - frame.start_hop :].T,
-                _stable_quotient(self._sfb.weights, phis),
-            )
-            z[first_scaled - frame.start_hop :] = np.fft.ifft(scaled, axis=1) * l
+            lo = first_scaled - frame.start_hop
+            z[lo:] = _whitened_residues(frame.values[:, lo:], phis, self._sfb)
         tail_rows = min(series.shape[0], cap)
         self._power_tail = series[series.shape[0] - tail_rows :]
         self._power_tail_hop = series_base + series.shape[0] - tail_rows
@@ -672,16 +625,21 @@ class CascadeDetector:
         if self._beta_const is not None:
             return np.full(anchors.size, self._beta_const)
         cfg = self.cfg
-        delay = (self._sfb.interp.size - 1) // 2
+        delay = self._sfb.delay
         out = np.empty(anchors.size)
         for idx, anchor in enumerate(anchors):
             window_end = anchor + (cfg.preamble_length - 1) * cfg.num_subbands + (
                 cfg.branch_count - 1
             )
+            # scored anchors start at tracked_first_anchor, so every hop
+            # they reach has a full window and a beta
             last_hop = (window_end + delay) // cfg.hop
-            out[idx] = self._beta_by_hop.get(last_hop, np.nan)
+            beta = self._beta_by_hop.get(last_hop)
+            if beta is None:
+                raise RuntimeError(f"no power estimate for hop {last_hop}")
+            out[idx] = beta
         # drop betas no longer reachable so the dict stays bounded
-        if self._beta_by_hop:
+        if anchors.size:
             horizon = int(anchors[-1]) // cfg.hop - 2 * cfg.fifo_capacity
             for h in [h for h in self._beta_by_hop if h < horizon]:
                 del self._beta_by_hop[h]
@@ -722,27 +680,3 @@ def detect_stream(
         TestStatistic(value=best_val, window_index=best_anchor) if seen else None
     )
     return DetectionReport(events=events, best=best)
-
-
-def peak_statistic(
-    signal, cfg: ChannelizerConfig, power_override: BandPowerEstimate | None = None
-) -> tuple[float, int]:
-    """Largest score over the stream and its window anchor."""
-    report = detect_stream(signal, cfg, threshold=np.inf, power_override=power_override)
-    if report.best is None:
-        return 0.0, 0
-    return report.best.value, report.best.window_index
-
-
-def dump_subband_frames(
-    frame: SubbandFrame, directory: str | os.PathLike, prefix: str = "band"
-) -> list[str]:
-    """Write one IQ file per band for offline inspection."""
-    from . import iqio
-
-    paths = []
-    for k in range(frame.num_bands):
-        path = os.path.join(os.fspath(directory), f"{prefix}_{k:04d}.iq")
-        iqio.iq_write(frame.values[k], path, sample_rate_hz=frame.band_rate_hz)
-        paths.append(path)
-    return paths

@@ -40,7 +40,6 @@ __all__ = [
     "required_eta_db",
     "cfo_grid_span_hz",
     "cfo_grid",
-    "cfo_grid_search",
     "fim_matrix",
     "fim_approx_report",
     "mrb_fim_report",
@@ -83,7 +82,6 @@ class DetectionConfig:
 @dataclass(frozen=True)
 class TestStatistic:
     value: float
-    cfo_bin: int = 0
     window_index: int = 0
 
     def __post_init__(self):
@@ -436,28 +434,6 @@ def cfo_grid(range_hz: float, preamble_duration_s: float, max_loss_db: float = 1
     spacing = cfo_grid_span_hz(preamble_duration_s, max_loss_db)
     count = max(2, int(math.ceil(2.0 * range_hz / spacing)) + 1)
     return np.linspace(-range_hz, range_hz, count)
-
-
-def cfo_grid_search(stream, cfg, grid, power_override=None) -> TestStatistic:
-    """Run the detection pipeline per CFO candidate, keep the best peak.
-
-    Candidates are independent; the max is taken with deterministic
-    tie-breaking on the lowest grid index.  Thresholding the returned
-    value must use j_grid = len(grid).
-    """
-    from .channelizer import peak_statistic  # deferred: breaks an import cycle
-    from .channel import apply_cfo
-
-    offsets = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    if offsets.size == 0:
-        raise ValueError("grid must be nonempty")
-    best: TestStatistic | None = None
-    for bin_index, df in enumerate(offsets):
-        derotated = apply_cfo(stream, -float(df))
-        value, window_index = peak_statistic(derotated, cfg, power_override)
-        if best is None or value > best.value:
-            best = TestStatistic(value=value, cfo_bin=bin_index, window_index=window_index)
-    return best
 
 
 def theory_curve(

@@ -41,7 +41,7 @@ from .channelizer import (
     CascadeDetector,
     ChannelizerConfig,
     config_from_waveform,
-    synthesis_state,
+    tracked_first_anchor,
 )
 from .detector import (
     DetectionConfig,
@@ -328,14 +328,6 @@ def _radio_waveform(wf: WaveformConfig, radios: int, m: int) -> WaveformConfig:
     )
 
 
-def _tracked_min_anchor(cfg: ChannelizerConfig) -> int:
-    # mirror of the cascade's own warm-up rule: first anchor whose
-    # oldest contributing hop has a full strictly-past power window
-    delay = (synthesis_state(cfg).interp.size - 1) // 2
-    first = (cfg.fifo_capacity - 1) * cfg.hop + delay + 1
-    return -(-first // cfg.num_subbands) * cfg.num_subbands
-
-
 def _bundle(scenario: Scenario) -> _Bundle:
     cached = _BUNDLES.get(scenario)
     if cached is not None:
@@ -351,10 +343,10 @@ def _bundle(scenario: Scenario) -> _Bundle:
             for m in range(det.radios)
         )
         cfg = config_from_waveform(wf, branch_count=det.p)
-        warmup = max(_tracked_min_anchor(c) for c in radio_cfgs) * det.radios
+        warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
     else:
         cfg = config_from_waveform(wf, branch_count=det.p)
-        warmup = _tracked_min_anchor(cfg)
+        warmup = tracked_first_anchor(cfg)
     l = wf.num_subbands
     # lead is drawn past the tracked warm-up even in calibrated runs so
     # matched-seed comparisons of the two whitening modes stay aligned

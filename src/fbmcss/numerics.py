@@ -1,4 +1,4 @@
-"""Complex signal buffers, unitary DFTs, and tail-probability special functions.
+"""Complex signal buffers and tail-probability special functions.
 
 Everything downstream (waveform synthesis, whitening, detection theory)
 builds on the primitives here.  The tail functions are self-contained
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "ComplexSignal",
-    "dft",
     "gaussian_q",
     "gaussian_q_inv",
     "chi2_tail",
@@ -45,22 +44,6 @@ class ComplexSignal:
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
-
-
-def dft(signal: ComplexSignal, inverse: bool = False) -> ComplexSignal:
-    """Unitary discrete Fourier transform of a signal buffer.
-
-    Uses 1/sqrt(N) normalization in both directions so transforms are
-    energy preserving and round-trip exactly.  The sample rate tag is
-    carried through unchanged (it describes the originating stream).
-    """
-    if len(signal) == 0:
-        raise ValueError("cannot transform a zero-length signal")
-    if inverse:
-        out = np.fft.ifft(signal.samples, norm="ortho")
-    else:
-        out = np.fft.fft(signal.samples, norm="ortho")
-    return ComplexSignal(out, signal.sample_rate_hz)
 
 
 def gaussian_q(x: float) -> float:
@@ -222,7 +205,8 @@ def noncentral_chi2_tail(dof: int, noncentrality: float, x: float) -> float:
 
     summed outward from the Poisson mode so the large-lambda case (up to
     lam ~ 1e4) neither underflows nor truncates early.  Terms stop once
-    they fall below 1e-14 of the running sum on a decaying weight tail.
+    they fall below 1e-14 of the running sum on a decaying weight tail,
+    or once that weight underflows to zero.
 
     Args:
         dof: degrees of freedom of the central part, >= 1.
@@ -261,7 +245,9 @@ def noncentral_chi2_tail(dof: int, noncentrality: float, x: float) -> float:
         k += 1
         term = w * q
         total += term
-        if term < 1e-14 * total and k > half:
+        # a tail that underflows to zero never meets the relative rule,
+        # and once w underflows every later term is exactly zero
+        if (term < 1e-14 * total or w == 0.0) and k > half:
             break
         if k - k0 > 2_000_000:
             break

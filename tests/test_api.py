@@ -1,0 +1,33 @@
+"""Packaging guard: exported names resolve and script targets import."""
+
+import importlib
+import pkgutil
+import tomllib
+from pathlib import Path
+
+import pytest
+
+import fbmcss
+
+MODULES = sorted(
+    f"fbmcss.{info.name}" for info in pkgutil.iter_modules(fbmcss.__path__)
+)
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    exported = getattr(module, "__all__", [])
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(exported)) == len(exported)
+
+
+def test_script_targets_import():
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module_name, _, attr = target.partition(":")
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr)), name

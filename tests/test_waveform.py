@@ -9,7 +9,6 @@ direct convolutions and direct summation formulas written out inline.
 import numpy as np
 import pytest
 
-from fbmcss.numerics import dft
 from fbmcss.waveform import (
     LinearModelSpec,
     PrototypeFilter,
