@@ -7,9 +7,11 @@ prototype (so analysis doubles as per-band pulse matched filtering);
 whitening scales each band by its conjugate code over the band's noise
 power, either pinned (`whiten_and_synthesize`) or estimated per hop
 from the trailing power window (`CascadeDetector`); `_synthesize`
-resynthesizes a full-rate stream; `matched_filter_bank` correlates it
-against the preamble comb; and the Rao score 2*energy/beta is emitted
-once per L input samples.  `CascadeDetector.push` runs that chain.
+resynthesizes a full-rate stream with a polyphase interpolator, where
+each output sums only the lag_hops taps of its own phase;
+`matched_filter_bank` correlates it against the preamble comb; and the
+Rao score 2*energy/beta is emitted once per L input samples.
+`CascadeDetector.push` runs that chain.
 Estimated whitening needs a full window before its first hop, which
 delays the first scored anchor; `tracked_first_anchor` is that rule.
 
@@ -21,8 +23,8 @@ delay is folded into the bookkeeping, so detection indices need no
 further correction.
 
 Every reduction is evaluated per output element over a canonical window
-in a fixed order, which makes chunked (streaming) processing and
-one-shot processing bit-identical.
+in a fixed order (the synthesis in ascending tap order), which makes
+chunked (streaming) processing and one-shot processing bit-identical.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def _as_samples(signal) -> tuple[np.ndarray, float | None]:
     return np.asarray(signal, dtype=np.complex128), None
 
 
-_AFB_BLOCK_HOPS = 4096
+# complex elements in one block's zero-padded fold buffer (32 MiB)
+_AFB_BLOCK_ELEMENTS = 1 << 21
 
 
 def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandFrame:
@@ -285,8 +288,9 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
     hop_idx = start_hop + np.arange(n_hops)
     shift = (hop_idx * d) % l
     col = np.arange(l)
-    for lo in range(0, n_hops, _AFB_BLOCK_HOPS):
-        hi = min(lo + _AFB_BLOCK_HOPS, n_hops)
+    block = max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l))
+    for lo in range(0, n_hops, block):
+        hi = min(lo + block, n_hops)
         # multiply straight into the zero-padded fold buffer: one
         # hops x taps temporary instead of two
         padded = np.zeros((hi - lo, span_slots * l), dtype=np.complex128)
@@ -327,22 +331,17 @@ def _interp_taps(cfg: ChannelizerConfig) -> np.ndarray:
 class SynthesisState:
     cfg: ChannelizerConfig
     phase: np.ndarray
-    interp: np.ndarray
+    coeffs: np.ndarray
+    delay: int
     weights: np.ndarray
     z_tail: np.ndarray
-    tail_hop: int = 0
+    tail_hop: int
     next_out: int = 0
-    started: bool = False
 
     @property
     def lag_hops(self) -> int:
         """How many past analysis hops one output sample can reference."""
-        return (self.interp.size - 1) // self.cfg.hop + 1
-
-    @property
-    def delay(self) -> int:
-        """Interpolator group delay in samples (odd length keeps it whole)."""
-        return (self.interp.size - 1) // 2
+        return self.coeffs.shape[1]
 
 
 def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
@@ -353,70 +352,71 @@ def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
     weights = _stable_product(
         np.exp(2j * np.pi * nu * center), cfg.code.gains, conjugate_b=True
     )
+    # polyphase table: coeffs[phase, k] = interp[phase + k*hop], with the
+    # phases one tap short padded by 0.0
+    interp = _interp_taps(cfg)
+    d = cfg.hop
+    lag = (interp.size - 1) // d + 1
+    table = np.zeros(lag * d)
+    table[: interp.size] = interp
     return SynthesisState(
         cfg=cfg,
         phase=_phase_table(cfg.num_subbands),
-        interp=_interp_taps(cfg),
+        coeffs=np.ascontiguousarray(table.reshape(lag, d).T),
+        # odd interpolator length keeps the group delay whole
+        delay=(interp.size - 1) // 2,
         weights=weights,
-        z_tail=np.zeros((0, cfg.num_subbands), dtype=np.complex128),
+        # the history before the stream is silence
+        z_tail=np.zeros((lag - 1, cfg.num_subbands), dtype=np.complex128),
+        tail_hop=-(lag - 1),
     )
 
 
 def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
-    """Interpolate, remodulate, and sum scaled residue tables into y'.
+    """Polyphase interpolation, remodulation and residue sum into y'.
 
     z_new rows are L-point inverse DFTs of the gain-scaled band samples,
     one row per hop.  Output sample m (matched-filter anchor time base)
-    sums interp[t] * z[i, m mod L] over the hops i with t = m + delay -
-    i*hop inside the filter; hops before the stream are zero.  Additions
-    run in ascending tap order for every output, so chunk boundaries
-    cannot reorder them.
+    has q = m + delay, newest hop q // hop and phase q % hop; it sums
+    coeffs[phase, k] * z[newest - k, m mod L] for k = 0..lag_hops-1, the
+    interpolator taps phase + k*hop of that phase alone (Harris, Dick and
+    Rice, IEEE T-MTT 2003).  Hops before the stream are zero.  Each k is
+    one gather and one multiply-add over all new outputs, real and
+    imaginary parts apart.  Ascending k is ascending tap order, so every
+    output adds its terms in the same order whatever the chunking; and a
+    sum started at +0.0 never turns -0.0, so the +-0.0 terms of the 0.0
+    pad taps change no bit.
     """
     cfg = state.cfg
     l = cfg.num_subbands
     d = cfg.hop
-    r = cfg.outputs_per_symbol
-    taps = state.interp
     delay = state.delay
     lag = state.lag_hops
-    if not state.started:
-        # the missing history before the stream is silence
-        state.z_tail = np.zeros((lag - 1, l), dtype=np.complex128)
-        state.tail_hop = -(lag - 1)
-        state.started = True
     z = np.concatenate([state.z_tail, z_new], axis=0)
     base_hop = state.tail_hop
     end_hop = base_hop + z.shape[0]
     # emit m while its newest contributing hop floor((m+delay)/hop) exists
     m_stop = end_hop * d - delay
     m_start = state.next_out
-    if m_stop <= m_start:
-        if z_new.shape[0]:
-            state.z_tail = z[-(lag - 1) :] if lag > 1 else z[:0]
-            state.tail_hop = end_hop - (lag - 1)
-        return np.zeros(0, dtype=np.complex128)
-    out = np.zeros(m_stop - m_start, dtype=np.complex128)
-    for t in range(taps.size):
-        coeff = taps[t]
-        # hops i contribute to m = i*hop + t - delay
-        i_lo = -(-(m_start + delay - t) // d)
-        i_lo = max(i_lo, base_hop)
-        i_hi = min(end_hop, (m_stop - 1 + delay - t) // d + 1)
-        if i_hi <= i_lo:
-            continue
-        for residue in range(r):
-            i0 = i_lo + ((residue - i_lo) % r)
-            if i0 >= i_hi:
-                continue
-            m0 = i0 * d + t - delay
-            col = m0 % l
-            rows = z[i0 - base_hop : i_hi - base_hop : r, col]
-            out[m0 - m_start : m0 - m_start + rows.size * l : l] += coeff * rows
-    out = _stable_product(
-        out, state.phase[(m_start + np.arange(out.size)) % (2 * l)], conjugate_b=True
-    )
     state.z_tail = z[-(lag - 1) :] if lag > 1 else z[:0]
     state.tail_hop = end_hop - (lag - 1)
+    if m_stop <= m_start:
+        return np.zeros(0, dtype=np.complex128)
+    m = np.arange(m_start, m_stop)
+    q = m + delay
+    phase = q % d
+    # flat index of z[newest - k, m mod L] at k = 0, stepped back a row per k
+    flat = (q // d - base_hop) * l + m % l
+    z_re = np.ascontiguousarray(z.real).ravel()
+    z_im = np.ascontiguousarray(z.imag).ravel()
+    out = np.zeros(m.size, dtype=np.complex128)
+    re, im = out.real, out.imag  # views: the sums land in out
+    for k in range(lag):
+        coeff = state.coeffs[:, k][phase]
+        re += coeff * z_re[flat]
+        im += coeff * z_im[flat]
+        flat -= l
+    out = _stable_product(out, state.phase[m % (2 * l)], conjugate_b=True)
     state.next_out = m_stop
     return out
 

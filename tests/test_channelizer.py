@@ -9,9 +9,15 @@ from scipy import stats as sps
 
 from fbmcss.channel import assemble_stream
 from fbmcss.channelizer import (
+    _AFB_BLOCK_ELEMENTS,
     BandPowerEstimate,
     CascadeDetector,
     SubbandFrame,
+    _interp_taps,
+    _phase_table,
+    _stable_product,
+    _synthesize,
+    _whitened_residues,
     afb_process,
     analysis_state,
     config_from_waveform,
@@ -172,6 +178,21 @@ class TestAnalysisBank:
         assert chunked.shape == whole.shape
         assert np.array_equal(chunked, whole)
 
+    def test_push_spanning_several_blocks_matches_chunked_bitwise(self, cfg):
+        x = white(1 << 17, 1.0, 19)
+        state = analysis_state(cfg)
+        span_slots = -(-state.taps.size // L)
+        whole = afb_process(x, cfg, state).values
+        # the one-shot call folds more hops than one block holds
+        assert whole.shape[1] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
+        for step in (37, 5000):
+            st = analysis_state(cfg)
+            pieces = [
+                afb_process(x[lo : lo + step], cfg, st).values
+                for lo in range(0, x.size, step)
+            ]
+            assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+
     def test_band_rate_follows_input_rate(self, cfg):
         sig = ComplexSignal(white(2000, 1.0, 14), FS)
         frame = afb_process(sig, cfg, analysis_state(cfg))
@@ -274,7 +295,97 @@ class TestBandPowerTracking:
             assert np.array_equal(phi1, phi2)
 
 
+class DirectFormSynthesis:
+    """The tap-by-tap synthesis the polyphase form replaced, as an oracle.
+
+    Every call loops over all interpolator taps x r and adds each tap's
+    contributions in ascending tap order, as the streaming code once did.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.taps = _interp_taps(cfg)
+        self.delay = (self.taps.size - 1) // 2
+        self.lag = (self.taps.size - 1) // cfg.hop + 1
+        self.phase = _phase_table(cfg.num_subbands)
+        self.z_tail = np.zeros((self.lag - 1, cfg.num_subbands), dtype=np.complex128)
+        self.tail_hop = -(self.lag - 1)
+        self.next_out = 0
+
+    def __call__(self, z_new):
+        l = self.cfg.num_subbands
+        d = self.cfg.hop
+        r = self.cfg.outputs_per_symbol
+        taps, delay, lag = self.taps, self.delay, self.lag
+        z = np.concatenate([self.z_tail, z_new], axis=0)
+        base_hop = self.tail_hop
+        end_hop = base_hop + z.shape[0]
+        m_stop = end_hop * d - delay
+        m_start = self.next_out
+        self.z_tail = z[-(lag - 1) :] if lag > 1 else z[:0]
+        self.tail_hop = end_hop - (lag - 1)
+        if m_stop <= m_start:
+            return np.zeros(0, dtype=np.complex128)
+        out = np.zeros(m_stop - m_start, dtype=np.complex128)
+        for t in range(taps.size):
+            coeff = taps[t]
+            # hops i contribute to m = i*hop + t - delay
+            i_lo = max(-(-(m_start + delay - t) // d), base_hop)
+            i_hi = min(end_hop, (m_stop - 1 + delay - t) // d + 1)
+            if i_hi <= i_lo:
+                continue
+            for residue in range(r):
+                i0 = i_lo + ((residue - i_lo) % r)
+                if i0 >= i_hi:
+                    continue
+                m0 = i0 * d + t - delay
+                rows = z[i0 - base_hop : i_hi - base_hop : r, m0 % l]
+                out[m0 - m_start : m0 - m_start + rows.size * l : l] += coeff * rows
+        self.next_out = m_stop
+        ramp = self.phase[(m_start + np.arange(out.size)) % (2 * l)]
+        return _stable_product(out, ramp, conjugate_b=True)
+
+
 class TestSynthesis:
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_polyphase_matches_direct_form_bitwise(self, wf, r):
+        c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
+        x = white(6000, 1.0, 21)
+        # silent stretches give hops of exact (signed) zeros
+        x[1000:1600] = 0.0
+        x[3000:3600] = complex(-0.0, -0.0)
+        phi = np.linspace(0.5, 2.0, L)
+        streams = []
+        for steps in ([x.size], [0, 1, 37, 1, 0, 500, 37, 2000, 37, x.size]):
+            st_a = analysis_state(c)
+            st_s = synthesis_state(c)
+            oracle = DirectFormSynthesis(c)
+            pieces = []
+            lo = 0
+            for step in steps:
+                frame = afb_process(x[lo : lo + step], c, st_a)
+                lo += step
+                z = _whitened_residues(frame.values, phi, st_s)
+                got = _synthesize(z, st_s)
+                assert got.tobytes() == oracle(z).tobytes()
+                pieces.append(got)
+            streams.append(np.concatenate(pieces))
+        assert streams[0].size > 5000
+        assert streams[1].tobytes() == streams[0].tobytes()
+
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_polyphase_table_is_interpolator_in_tap_order(self, wf, r):
+        c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
+        st = synthesis_state(c)
+        taps = _interp_taps(c)
+        assert st.coeffs.shape == (c.hop, st.lag_hops)
+        # coeffs[phase, k] is tap phase + k*hop
+        in_tap_order = st.coeffs.T.ravel()
+        assert 0 <= in_tap_order.size - taps.size < c.hop
+        assert np.array_equal(in_tap_order[: taps.size], taps)
+        assert not np.any(in_tap_order[taps.size :])
+        assert st.delay == (taps.size - 1) // 2
+
     def test_unity_profile_reconstructs_matched_filter(self, wf):
         g = synthesize_pulse(wf).samples
         x = white(40000, 1.0, 7)

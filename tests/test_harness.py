@@ -1,6 +1,7 @@
 """Monte Carlo harness contracts on a tiny desk-like scenario: curve bytes
 that do not depend on worker count or resuming, refusal of foreign point
-state, the CFO search and the stream lead against the tracked warm-up."""
+state, scenario text round trips, the CFO search and the stream lead
+against the tracked warm-up."""
 
 import dataclasses
 import os
@@ -62,6 +63,27 @@ class TestRunCurve:
         curve_bytes(tiny(), tmp_path)
         with pytest.raises(ValueError, match="different scenario"):
             harness.run_curve(tiny(root_seed=1), str(tmp_path))
+
+
+    def test_state_file_for_another_eta_refused(self, tmp_path):
+        curve_bytes(tiny(), tmp_path)
+        # swap the two points' state files: same fingerprint, wrong slots
+        first = tmp_path / "tiny.point000.txt"
+        second = tmp_path / "tiny.point001.txt"
+        text = first.read_text()
+        first.write_text(second.read_text())
+        second.write_text(text)
+        with pytest.raises(ValueError, match="is for eta -10.0 dB, expected -14.0 dB"):
+            harness.run_curve(tiny(), str(tmp_path))
+
+
+class TestScenarioText:
+    @pytest.mark.parametrize("make", [tiny, lambda: harness.preset("desk")], ids=["tiny", "desk"])
+    def test_round_trip(self, make):
+        sc = make()
+        back = harness.scenario_from_text(harness.scenario_to_text(sc))
+        assert back == sc
+        assert harness._fingerprint(back) == harness._fingerprint(sc)
 
 
 class TestCfoSearch:
