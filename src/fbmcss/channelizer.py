@@ -275,7 +275,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
     n_hops = (data.size - taps.size) // d + 1 if data.size >= taps.size else 0
     band_rate = (rate if rate is not None else float(l)) / d
     if n_hops <= 0:
-        state.tail = data
+        state.tail = data.copy()
         return SubbandFrame(
             values=np.zeros((l, 0), dtype=np.complex128),
             band_rate_hz=band_rate,
@@ -298,7 +298,8 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
         folded = padded.reshape(hi - lo, span_slots, l).sum(axis=1)
         rolled = folded[np.arange(hi - lo)[:, None], (col[None, :] - shift[lo:hi, None]) % l]
         out[lo:hi] = np.fft.fft(rolled, axis=1)
-    state.tail = data[n_hops * d :]
+    # copies: a view would alias the caller's buffer or pin the whole block
+    state.tail = data[n_hops * d :].copy()
     state.next_hop = start_hop + n_hops
     return SubbandFrame(
         values=np.ascontiguousarray(out.T), band_rate_hz=band_rate, start_hop=start_hop
@@ -398,7 +399,7 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     # emit m while its newest contributing hop floor((m+delay)/hop) exists
     m_stop = end_hop * d - delay
     m_start = state.next_out
-    state.z_tail = z[-(lag - 1) :] if lag > 1 else z[:0]
+    state.z_tail = z[z.shape[0] - (lag - 1) :].copy()
     state.tail_hop = end_hop - (lag - 1)
     if m_stop <= m_start:
         return np.zeros(0, dtype=np.complex128)
@@ -503,7 +504,7 @@ def matched_filter_bank(
     reach = (n - 1) * l + p  # window span per anchor
     n_windows = (data.size - reach) // l + 1 if data.size >= reach else 0
     if n_windows <= 0:
-        state.tail = data
+        state.tail = data.copy()
         return np.zeros((p, 0), dtype=np.complex128)
     comb = np.arange(n) * l
     anchors_rel = np.arange(n_windows) * l
@@ -511,7 +512,7 @@ def matched_filter_bank(
     for branch in range(p):
         gathered = data[anchors_rel[:, None] + branch + comb[None, :]]
         out[branch] = _stable_product(gathered, state.conj_symbols).sum(axis=1)
-    state.tail = data[n_windows * l :]
+    state.tail = data[n_windows * l :].copy()
     state.next_anchor += n_windows
     return out
 
@@ -617,7 +618,7 @@ class CascadeDetector:
             lo = first_scaled - frame.start_hop
             z[lo:] = _whitened_residues(frame.values[:, lo:], phis, self._sfb)
         tail_rows = min(series.shape[0], cap)
-        self._power_tail = series[series.shape[0] - tail_rows :]
+        self._power_tail = series[series.shape[0] - tail_rows :].copy()
         self._power_tail_hop = series_base + series.shape[0] - tail_rows
         return z
 

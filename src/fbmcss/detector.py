@@ -50,11 +50,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Decision-layer shape: taps p, false-alarm target, CFO grid, radios."""
+    """Decision-layer shape: taps p, false-alarm target and radio count.
+
+    radios = 1 is the single-radio (SRB) receiver; radios = M > 1 splits
+    the band over M radios (MRB) with p/M taps each.  The CFO candidate
+    count is not set here: it follows from the scenario's CFO range.
+    """
 
     p: int
     p_fa: float
-    j_grid: int = 1
     radios: int = 1
 
     def __post_init__(self):
@@ -62,8 +66,6 @@ class DetectionConfig:
             raise ValueError("p must be >= 1")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must be in (0, 1)")
-        if self.j_grid < 1:
-            raise ValueError("j_grid must be >= 1")
         if self.radios < 1:
             raise ValueError("radios must be >= 1")
         if self.radios > 1 and self.p % self.radios != 0:

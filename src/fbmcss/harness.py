@@ -18,9 +18,11 @@ runs serially, in a process pool, or resumed across interruptions.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,7 @@ from .channelizer import (
 )
 from .detector import (
     DetectionConfig,
+    cfo_grid,
     ideal_band_split,
     theory_pd,
     threshold,
@@ -124,16 +127,20 @@ class WaveformSpec:
 class Scenario:
     """One experiment: a waveform in a channel, swept over SNR.
 
-    mode selects the receiver: "srb" runs one cascade over the full
-    band, "mrb" splits the stream into detector.radios contiguous
-    sub-bands and sums the per-radio statistics.  known_noise pins each
-    trial's whitener to the true noise level (the calibrated detector
-    the theory curves describe); with it off the receiver estimates
-    band powers from its own trailing window.  start_jitter_span is the
-    number of admissible packet-start residues modulo a symbol: the
-    scored window grid advances one symbol per hop with detector.p
-    delay branches each, so starts are drawn on that lattice, which is
-    the timing uncertainty the architecture itself absorbs.
+    The receiver follows from detector.radios: one radio runs one cascade
+    over the full band (mode "srb"), M > 1 radios split the stream into
+    M contiguous sub-bands and sum the per-radio statistics ("mrb").
+    cfo_range_hz > 0 turns on a uniform carrier offset in
+    [-range, +range] per signal trial and a search over cfo_grid_hz,
+    whose size is the candidate count j of the threshold and the theory
+    curve.  known_noise pins each trial's whitener to the true noise
+    level (the calibrated detector the theory curves describe); with it
+    off the receiver estimates band powers from its own trailing window.
+    start_jitter_span is the number of admissible packet-start residues
+    modulo a symbol: the scored window grid advances one symbol per hop
+    with detector.p delay branches each, so starts are drawn on that
+    lattice, which is the timing uncertainty the architecture itself
+    absorbs.
     """
 
     name: str
@@ -144,10 +151,7 @@ class Scenario:
     detector: DetectionConfig
     trials_per_point: int
     root_seed: int
-    cfo_enabled: bool = False
     cfo_range_hz: float = 0.0
-    cfo_grid_points: int = 1
-    mode: str = "srb"
     known_noise: bool = True
     noise_windows: int = 4096
     start_jitter_span: int = 1
@@ -170,30 +174,20 @@ class Scenario:
             raise ValueError("trials_per_point must be >= 1")
         if self.noise_windows < 1:
             raise ValueError("noise_windows must be >= 1")
-        if self.mode not in ("srb", "mrb"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "mrb":
-            if self.detector.radios < 2:
-                raise ValueError("mrb mode needs detector.radios >= 2")
-            if self.waveform.num_subbands % self.detector.radios != 0:
-                raise ValueError("radio count must divide the subband count")
-        if self.cfo_enabled:
-            if not self.cfo_range_hz > 0.0:
-                raise ValueError("cfo range must be positive when enabled")
-            if self.cfo_grid_points < 1:
-                raise ValueError("cfo grid needs at least one point")
+        if self.waveform.num_subbands % self.detector.radios != 0:
+            raise ValueError("radio count must divide the subband count")
+        if not self.cfo_range_hz >= 0.0:
+            raise ValueError("cfo_range_hz must be >= 0")
         if not 1 <= self.start_jitter_span <= self.detector.p:
             raise ValueError("start_jitter_span must be in [1, detector.p]")
 
     @property
-    def cfo_grid_hz(self) -> np.ndarray:
-        if not self.cfo_enabled or self.cfo_grid_points == 1:
-            return np.zeros(1)
-        return np.linspace(-self.cfo_range_hz, self.cfo_range_hz, self.cfo_grid_points)
+    def mode(self) -> str:
+        return "mrb" if self.detector.radios > 1 else "srb"
 
     @property
-    def effective_j_grid(self) -> int:
-        return self.cfo_grid_points if self.cfo_enabled else 1
+    def cfo_grid_hz(self) -> np.ndarray:
+        return cfo_grid(self.cfo_range_hz, self.waveform.preamble_duration_s)
 
 
 @dataclass(frozen=True)
@@ -221,17 +215,6 @@ class CurvePoint:
     @property
     def wilson_ci(self) -> tuple[float, float]:
         return (self.wilson_low, self.wilson_high)
-
-
-_CSV_COLUMNS = (
-    "eta_db",
-    "p_d_empirical",
-    "p_d_theory",
-    "p_fa_empirical",
-    "trials",
-    "wilson_low",
-    "wilson_high",
-)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -348,6 +331,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
         cfg = config_from_waveform(wf, branch_count=det.p)
         warmup = tracked_first_anchor(cfg)
     l = wf.num_subbands
+    grid_hz = scenario.cfo_grid_hz
     # lead is drawn past the tracked warm-up even in calibrated runs so
     # matched-seed comparisons of the two whitening modes stay aligned
     lead_lo = warmup // l + 2
@@ -358,10 +342,10 @@ def _bundle(scenario: Scenario) -> _Bundle:
         tx=generate_preamble(wf),
         rho=composite_pulse(wf),
         radio_cfgs=radio_cfgs,
-        thr=threshold(det.p_fa, det.p, scenario.effective_j_grid),
+        thr=threshold(det.p_fa, det.p, grid_hz.size),
         lead_symbols_lo=lead_lo,
         trail_samples=trail,
-        grid_hz=scenario.cfo_grid_hz,
+        grid_hz=grid_hz,
     )
     if len(_BUNDLES) >= 8:
         _BUNDLES.clear()
@@ -508,7 +492,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         stream = add_interference(
             stream, scenario.interference, n0 / l, seed=_draw_seed(rng)
         )
-    if scenario.cfo_enabled:
+    if scenario.cfo_range_hz > 0.0:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)
 
@@ -628,7 +612,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     return CurvePoint(
         eta_db=float(eta_db),
         p_d_empirical=detections / trials,
-        p_d_theory=theory_pd(det.p_fa, det.p, lam, scenario.effective_j_grid),
+        p_d_theory=theory_pd(det.p_fa, det.p, lam, scenario.cfo_grid_hz.size),
         p_fa_empirical=crossings / windows,
         trials=trials,
         wilson_low=low,
@@ -660,38 +644,25 @@ def curve_csv_path(scenario: Scenario, out_dir: str) -> str:
 
 def _point_to_text(point: CurvePoint, fingerprint: str) -> str:
     lines = [f"fingerprint = {fingerprint}"]
-    for name in _CSV_COLUMNS:
-        lines.append(f"{name} = {getattr(point, name)!r}")
+    lines += [f"{key} = {value}" for key, value in _field_items(point)]
     return "\n".join(lines) + "\n"
 
 
 def _point_from_text(text: str, path: str) -> tuple[CurvePoint, str]:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
     try:
-        point = CurvePoint(
-            eta_db=float(values["eta_db"]),
-            p_d_empirical=float(values["p_d_empirical"]),
-            p_d_theory=float(values["p_d_theory"]),
-            p_fa_empirical=float(values["p_fa_empirical"]),
-            trials=int(values["trials"]),
-            wilson_low=float(values["wilson_low"]),
-            wilson_high=float(values["wilson_high"]),
-        )
-        return point, values["fingerprint"]
+        pairs = _parse_pairs(text)
+        fingerprint = pairs.pop("fingerprint")
+        kwargs = _read_fields(CurvePoint, pairs)
+        _refuse_unknown(pairs)
+        return CurvePoint(**kwargs), fingerprint
     except (KeyError, ValueError) as exc:
         raise ValueError(f"corrupt point state in {path}: {exc}") from exc
 
 
 def _csv_text(points: list[CurvePoint]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(f.name for f in dataclasses.fields(CurvePoint))]
     for pt in points:
-        lines.append(",".join(repr(getattr(pt, name)) for name in _CSV_COLUMNS))
+        lines.append(",".join(value for _, value in _field_items(pt)))
     return "\n".join(lines) + "\n"
 
 
@@ -743,75 +714,90 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
 
 # ---------------------------------------------------------------------------
 # scenario files
+#
+# Scenario files and point state files hold one "key = value" line per
+# dataclass field, in field order.  A key is the field's path
+# (name, waveform.rolloff, channel_profile.los), a section that is None
+# writes no lines, and metadata pairs are written as meta.<name>.  The
+# reader takes keys, defaults, required fields and value types from the
+# same dataclass fields, so the format has no other definition.
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
+def _field_types(cls) -> list[tuple[dataclasses.Field, type, bool]]:
+    """(field, value type, may be None) for each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            (hint,) = [a for a in args if a is not type(None)]
+        out.append((f, hint, optional))
+    return out
+
+
+def _format_value(value, hint) -> str:
+    if hint is bool:
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if hint is float:
+        return repr(float(value))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return ", ".join(_format_value(v, item) for v in value)
     return str(value)
 
 
-def scenario_to_text(scenario: Scenario) -> str:
-    """Serialize to the key=value scenario file format."""
-    wf = scenario.waveform
-    det = scenario.detector
-    lines = [
-        f"name = {scenario.name}",
-        f"mode = {scenario.mode}",
-        f"root_seed = {scenario.root_seed}",
-        f"trials_per_point = {scenario.trials_per_point}",
-        f"noise_windows = {scenario.noise_windows}",
-        f"known_noise = {_format_value(scenario.known_noise)}",
-        f"start_jitter_span = {scenario.start_jitter_span}",
-        "snr_sweep_db = " + ", ".join(repr(v) for v in scenario.snr_sweep_db),
-        f"waveform.num_subbands = {wf.num_subbands}",
-        f"waveform.preamble_length = {wf.preamble_length}",
-        f"waveform.symbol_duration_s = {wf.symbol_duration_s!r}",
-        f"waveform.span_symbols = {wf.span_symbols}",
-        f"waveform.rolloff = {wf.rolloff!r}",
-        f"waveform.sign_seed = {wf.sign_seed}",
-        f"waveform.symbol_seed = {wf.symbol_seed}",
-        f"detector.p = {det.p}",
-        f"detector.p_fa = {det.p_fa!r}",
-        f"detector.j_grid = {det.j_grid}",
-        f"detector.radios = {det.radios}",
-        f"cfo.enabled = {_format_value(scenario.cfo_enabled)}",
-        f"cfo.range_hz = {scenario.cfo_range_hz!r}",
-        f"cfo.grid_points = {scenario.cfo_grid_points}",
-    ]
-    prof = scenario.channel_profile
-    if prof is None:
-        lines.append("channel.environment = none")
-    else:
-        lines.extend(
-            [
-                f"channel.environment = {prof.environment}",
-                f"channel.los = {_format_value(prof.los)}",
-                f"channel.target_95pct_duration_ns = {prof.target_95pct_duration_ns!r}",
-                f"channel.decay_constant_ns = {prof.decay_constant_ns!r}",
-                f"channel.tap_spacing_ns = {prof.tap_spacing_ns!r}",
-            ]
-        )
-    intf = scenario.interference
-    if intf is None:
-        lines.append("interference.present = false")
-    else:
-        lines.extend(
-            [
-                "interference.present = true",
-                f"interference.count = {intf.count}",
-                f"interference.bandwidth_hz = {intf.bandwidth_hz!r}",
-                "interference.psd_above_noise_db = "
-                + ", ".join(repr(float(v)) for v in intf.psd_above_noise_db_range),
-                "interference.band_edges_hz = "
-                + ", ".join(repr(float(v)) for v in intf.band_edges_hz),
-            ]
-        )
-    for key, value in scenario.metadata:
-        lines.append(f"meta.{key} = {value}")
-    return "\n".join(lines) + "\n"
+def _parse_value(raw: str, hint, key: str):
+    if hint is bool:
+        if raw not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {raw!r}")
+        return raw == "true"
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_parse_value(v.strip(), item, key) for v in raw.split(","))
+    try:
+        return hint(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {hint.__name__}, got {raw!r}") from None
+
+
+def _field_items(obj, prefix: str = ""):
+    """(key, value text) for every field of a dataclass, in field order."""
+    for f, hint, _ in _field_types(type(obj)):
+        value = getattr(obj, f.name)
+        if f.name == "metadata":
+            yield from ((f"meta.{k}", v) for k, v in value)
+        elif dataclasses.is_dataclass(hint):
+            if value is not None:
+                yield from _field_items(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", _format_value(value, hint)
+
+
+def _read_fields(cls, pairs: dict[str, str], prefix: str = "") -> dict:
+    """Constructor arguments of cls from pairs; pops every key it uses."""
+    kwargs = {}
+    for f, hint, optional in _field_types(cls):
+        key = prefix + f.name
+        if f.name == "metadata":
+            meta = [k for k in pairs if k.startswith("meta.")]
+            kwargs[f.name] = tuple((k[len("meta.") :], pairs.pop(k)) for k in meta)
+        elif dataclasses.is_dataclass(hint):
+            if optional and not any(k.startswith(key + ".") for k in pairs):
+                kwargs[f.name] = None
+            else:
+                kwargs[f.name] = hint(**_read_fields(hint, pairs, key + "."))
+        elif key in pairs:
+            kwargs[f.name] = _parse_value(pairs.pop(key), hint, key)
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"missing key {key!r}")
+    return kwargs
+
+
+def _refuse_unknown(pairs: dict[str, str]) -> None:
+    if pairs:
+        raise ValueError(f"unknown keys: {', '.join(sorted(pairs))}")
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -823,130 +809,24 @@ def _parse_pairs(text: str) -> dict[str, str]:
         key, sep, raw = stripped.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-        pairs[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        pairs[key] = raw.strip()
     return pairs
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(f"{key} must be true or false, got {raw!r}")
-
-
-_KNOWN_KEYS = {
-    "name",
-    "mode",
-    "root_seed",
-    "trials_per_point",
-    "noise_windows",
-    "known_noise",
-    "start_jitter_span",
-    "snr_sweep_db",
-    "waveform.num_subbands",
-    "waveform.preamble_length",
-    "waveform.symbol_duration_s",
-    "waveform.span_symbols",
-    "waveform.rolloff",
-    "waveform.sign_seed",
-    "waveform.symbol_seed",
-    "detector.p",
-    "detector.p_fa",
-    "detector.j_grid",
-    "detector.radios",
-    "cfo.enabled",
-    "cfo.range_hz",
-    "cfo.grid_points",
-    "channel.environment",
-    "channel.los",
-    "channel.target_95pct_duration_ns",
-    "channel.decay_constant_ns",
-    "channel.tap_spacing_ns",
-    "interference.present",
-    "interference.count",
-    "interference.bandwidth_hz",
-    "interference.psd_above_noise_db",
-    "interference.band_edges_hz",
-}
+def scenario_to_text(scenario: Scenario) -> str:
+    """Serialize to the key = value scenario file format."""
+    return "".join(f"{key} = {value}\n" for key, value in _field_items(scenario))
 
 
 def scenario_from_text(text: str) -> Scenario:
-    """Parse the key=value scenario format; unknown keys are errors."""
+    """Parse the key = value scenario format; unknown keys are errors."""
     pairs = _parse_pairs(text)
-    unknown = [
-        k for k in pairs if k not in _KNOWN_KEYS and not k.startswith("meta.")
-    ]
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
-    try:
-        waveform = WaveformSpec(
-            num_subbands=int(pairs["waveform.num_subbands"]),
-            preamble_length=int(pairs["waveform.preamble_length"]),
-            symbol_duration_s=float(pairs["waveform.symbol_duration_s"]),
-            span_symbols=int(pairs.get("waveform.span_symbols", "8")),
-            rolloff=float(pairs.get("waveform.rolloff", "0.25")),
-            sign_seed=int(pairs.get("waveform.sign_seed", "0")),
-            symbol_seed=int(pairs.get("waveform.symbol_seed", "0")),
-        )
-        detector = DetectionConfig(
-            p=int(pairs["detector.p"]),
-            p_fa=float(pairs["detector.p_fa"]),
-            j_grid=int(pairs.get("detector.j_grid", "1")),
-            radios=int(pairs.get("detector.radios", "1")),
-        )
-        environment = pairs.get("channel.environment", "none")
-        if environment == "none":
-            profile = None
-        else:
-            profile = DelaySpreadProfile(
-                environment=environment,
-                los=_parse_bool(pairs["channel.los"], "channel.los"),
-                target_95pct_duration_ns=float(
-                    pairs["channel.target_95pct_duration_ns"]
-                ),
-                decay_constant_ns=float(pairs["channel.decay_constant_ns"]),
-                tap_spacing_ns=float(pairs.get("channel.tap_spacing_ns", "2.0")),
-            )
-        if _parse_bool(pairs.get("interference.present", "false"), "interference.present"):
-            psd = tuple(
-                float(v) for v in pairs["interference.psd_above_noise_db"].split(",")
-            )
-            edges = tuple(
-                float(v) for v in pairs["interference.band_edges_hz"].split(",")
-            )
-            interference = InterferenceConfig(
-                count=int(pairs["interference.count"]),
-                bandwidth_hz=float(pairs["interference.bandwidth_hz"]),
-                psd_above_noise_db_range=psd,
-                band_edges_hz=edges,
-            )
-        else:
-            interference = None
-        sweep = tuple(float(v) for v in pairs["snr_sweep_db"].split(","))
-        metadata = tuple(
-            (k[len("meta.") :], v) for k, v in pairs.items() if k.startswith("meta.")
-        )
-        return Scenario(
-            name=pairs["name"],
-            waveform=waveform,
-            channel_profile=profile,
-            interference=interference,
-            snr_sweep_db=sweep,
-            detector=detector,
-            trials_per_point=int(pairs["trials_per_point"]),
-            root_seed=int(pairs["root_seed"]),
-            cfo_enabled=_parse_bool(pairs.get("cfo.enabled", "false"), "cfo.enabled"),
-            cfo_range_hz=float(pairs.get("cfo.range_hz", "0.0")),
-            cfo_grid_points=int(pairs.get("cfo.grid_points", "1")),
-            mode=pairs.get("mode", "srb"),
-            known_noise=_parse_bool(pairs.get("known_noise", "true"), "known_noise"),
-            noise_windows=int(pairs.get("noise_windows", "4096")),
-            start_jitter_span=int(pairs.get("start_jitter_span", "1")),
-            metadata=metadata,
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario file is missing key {exc.args[0]!r}") from exc
+    kwargs = _read_fields(Scenario, pairs)
+    _refuse_unknown(pairs)
+    return Scenario(**kwargs)
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -1021,7 +901,7 @@ def _narrowband() -> Scenario:
         sign_seed=11,
         symbol_seed=12,
     )
-    det = DetectionConfig(p=p, p_fa=1e-8, radios=4)
+    det = DetectionConfig(p=p, p_fa=1e-8)
     sweep = _placed_sweep(det.p_fa, det.p, n, l, (0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
     return Scenario(
         name="narrowband",
@@ -1078,7 +958,6 @@ def _wideband(short: bool) -> Scenario:
         detector=det,
         trials_per_point=1000,
         root_seed=20260814,
-        mode="mrb",
         metadata=(
             ("sample_rate_hz", repr(fs)),
             ("subcarrier_spacing_hz", repr(fs / l)),

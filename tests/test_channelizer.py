@@ -717,6 +717,28 @@ class TestDetection:
         assert np.array_equal(np.concatenate(stats), whole_stats)
         assert whole_stats.size > 0 and np.all(np.isfinite(whole_stats))
 
+    @pytest.mark.parametrize("first", [7, 1000])
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_refilled_buffer_equals_copies_bitwise(self, cfg, tracked, first):
+        # a reader that refills one array between pushes gets the scores
+        # of fresh arrays: no stage state may be a view of its input (a
+        # first push shorter than the prototype is kept whole)
+        sizes = [first] + [1000] * 9
+        x = white(sum(sizes), N0 / L, 37)
+        override = None if tracked else np.full(L, N0)
+        fresh = CascadeDetector(cfg, power_override=override)
+        reused = CascadeDetector(cfg, power_override=override)
+        buf = np.empty(1000, dtype=np.complex128)
+        lo = 0
+        for n in sizes:
+            a, s = fresh.push(x[lo : lo + n].copy())
+            buf[:n] = x[lo : lo + n]
+            b, t = reused.push(buf[:n])
+            buf[:] = np.nan
+            assert np.array_equal(a, b) and np.array_equal(s, t)
+            lo += n
+        assert s.size > 0
+
     def test_tracked_scoring_waits_for_estimator_fill(self, cfg):
         x = white(8000, N0 / L, 33)
         tracked_anchors, _ = CascadeDetector(cfg).push(x)

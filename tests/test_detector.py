@@ -98,7 +98,7 @@ class TestDetectionConfig:
 
     def test_ranges(self):
         for bad in (dict(p=0, p_fa=0.5), dict(p=1, p_fa=0.0), dict(p=1, p_fa=1.0),
-                    dict(p=1, p_fa=0.5, j_grid=0)):
+                    dict(p=1, p_fa=0.5, radios=0)):
             with pytest.raises(ValueError):
                 DetectionConfig(**bad)
 

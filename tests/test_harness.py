@@ -1,7 +1,8 @@
 """Monte Carlo harness contracts on a tiny desk-like scenario: curve bytes
 that do not depend on worker count or resuming, refusal of foreign point
-state, scenario text round trips, the CFO search and the stream lead
-against the tracked warm-up."""
+state, theory inside the Wilson interval, the scenario text format, the
+values a scenario computes (CFO grid, threshold, receiver mode), the CFO
+search and the stream lead against the tracked warm-up."""
 
 import dataclasses
 import os
@@ -10,9 +11,14 @@ import numpy as np
 import pytest
 
 from fbmcss import harness
-from fbmcss.channel import apply_cfo, assemble_stream
+from fbmcss.channel import (
+    DelaySpreadProfile,
+    InterferenceConfig,
+    apply_cfo,
+    assemble_stream,
+)
 from fbmcss.channelizer import CascadeDetector, tracked_first_anchor
-from fbmcss.detector import DetectionConfig
+from fbmcss.detector import DetectionConfig, cfo_grid, threshold
 from fbmcss.numerics import ComplexSignal
 
 L = 16
@@ -40,6 +46,28 @@ def tiny(**changes) -> harness.Scenario:
         noise_windows=64,
     )
     return dataclasses.replace(sc, **changes)
+
+
+def every_section() -> harness.Scenario:
+    """tiny with every optional section set: a scenario file's full key set."""
+    return tiny(
+        channel_profile=DelaySpreadProfile(
+            environment="custom",
+            los=True,
+            target_95pct_duration_ns=20.0,
+            decay_constant_ns=7.5,
+        ),
+        interference=InterferenceConfig(
+            count=2,
+            bandwidth_hz=5e6,
+            psd_above_noise_db_range=(3.0, 9.5),
+            band_edges_hz=(-2e8, 2e8),
+        ),
+        detector=DetectionConfig(p=2, p_fa=1e-3, radios=2),
+        cfo_range_hz=8e6,
+        known_noise=False,
+        metadata=(("sample_rate_hz", repr(FS)), ("note", "every section")),
+    )
 
 
 def curve_bytes(scenario, out_dir, workers=0) -> bytes:
@@ -76,21 +104,114 @@ class TestRunCurve:
         with pytest.raises(ValueError, match="is for eta -10.0 dB, expected -14.0 dB"):
             harness.run_curve(tiny(), str(tmp_path))
 
+    def test_corrupt_state_file_refused(self, tmp_path):
+        curve_bytes(tiny(), tmp_path)
+        state = tmp_path / "tiny.point000.txt"
+        state.write_text(state.read_text().replace("trials = 6", "trials = six"))
+        with pytest.raises(ValueError, match="corrupt point state in .*trials: expected int"):
+            harness.run_curve(tiny(), str(tmp_path))
+
+    def test_theory_inside_wilson_interval(self, tmp_path):
+        for point in harness.run_curve(tiny(), str(tmp_path)):
+            assert point.wilson_low <= point.p_d_theory <= point.wilson_high
+
 
 class TestScenarioText:
-    @pytest.mark.parametrize("make", [tiny, lambda: harness.preset("desk")], ids=["tiny", "desk"])
+    @pytest.mark.parametrize(
+        "make",
+        [tiny, lambda: harness.preset("desk"), every_section],
+        ids=["tiny", "desk", "every_section"],
+    )
     def test_round_trip(self, make):
         sc = make()
         back = harness.scenario_from_text(harness.scenario_to_text(sc))
         assert back == sc
         assert harness._fingerprint(back) == harness._fingerprint(sc)
 
+    def test_keys_are_field_paths(self):
+        text = harness.scenario_to_text(every_section())
+        keys = [line.partition(" = ")[0] for line in text.splitlines()]
+        assert keys[:3] == ["name", "waveform.num_subbands", "waveform.preamble_length"]
+        assert "channel_profile.los = true" in text
+        assert "interference.psd_above_noise_db_range = 3.0, 9.5" in text
+        assert "cfo_range_hz = 8000000.0" in text
+        assert keys[-2:] == ["meta.sample_rate_hz", "meta.note"]
+        # a section that is None writes no lines
+        assert "channel_profile." not in harness.scenario_to_text(tiny())
+        assert "interference." not in harness.scenario_to_text(tiny())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "cfo.enabled = false",
+            "cfo.grid_points = 1",
+            "detector.j_grid = 1",
+            "mode = srb",
+            "channel.environment = none",
+        ],
+    )
+    def test_old_keys_refused(self, line):
+        text = harness.scenario_to_text(tiny()) + line + "\n"
+        key = line.partition(" = ")[0]
+        with pytest.raises(ValueError, match=f"unknown keys: {key}$"):
+            harness.scenario_from_text(text)
+
+    @pytest.mark.parametrize("key", ["root_seed", "waveform.num_subbands", "channel_profile.los"])
+    def test_missing_required_key_refused(self, key):
+        lines = harness.scenario_to_text(every_section()).splitlines()
+        text = "\n".join(l for l in lines if not l.startswith(key + " ="))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            harness.scenario_from_text(text)
+
+    def test_duplicate_key_refused(self):
+        text = harness.scenario_to_text(tiny()) + "root_seed = 5\n"
+        with pytest.raises(ValueError, match="duplicate key 'root_seed'"):
+            harness.scenario_from_text(text)
+
+    def test_bad_bool_refused(self):
+        text = harness.scenario_to_text(tiny()).replace(
+            "known_noise = true", "known_noise = yes"
+        )
+        with pytest.raises(ValueError, match="known_noise must be true or false"):
+            harness.scenario_from_text(text)
+
+
+class TestComputedValues:
+    def test_cfo_grid_follows_range(self):
+        df = 8e6
+        sc = tiny(cfo_range_hz=df)
+        expected = cfo_grid(df, sc.waveform.preamble_duration_s)
+        assert expected.size > 1
+        np.testing.assert_array_equal(sc.cfo_grid_hz, expected)
+        np.testing.assert_array_equal(tiny().cfo_grid_hz, np.zeros(1))
+
+    def test_threshold_counts_cfo_candidates(self):
+        sc = tiny(cfo_range_hz=8e6)
+        det = sc.detector
+        bundle = harness._bundle(sc)
+        assert bundle.thr == threshold(det.p_fa, det.p, bundle.grid_hz.size)
+        assert bundle.thr > threshold(det.p_fa, det.p)
+
+    @pytest.mark.parametrize("radios", [1, 2])
+    def test_mode_follows_radio_count(self, radios):
+        sc = tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=radios))
+        assert sc.mode == ("mrb" if radios > 1 else "srb")
+
+    def test_negative_cfo_range_refused(self):
+        with pytest.raises(ValueError, match="cfo_range_hz"):
+            tiny(cfo_range_hz=-1.0)
+
+    def test_radio_count_must_divide_subbands(self):
+        with pytest.raises(ValueError, match="radio count must divide"):
+            tiny(detector=DetectionConfig(p=3, p_fa=1e-2, radios=3))
+
 
 class TestCfoSearch:
     def test_grid_search_recovers_offset_and_start(self):
         df = 8e6
-        sc = tiny(cfo_enabled=True, cfo_range_hz=df, cfo_grid_points=3)
+        sc = tiny(cfo_range_hz=df)
         bundle = harness._bundle(sc)
+        assert df in bundle.grid_hz
         tx = bundle.tx
         sig = ComplexSignal(tx.samples * 0.4, tx.sample_rate_hz)
         stream, k0 = assemble_stream(sig, 896, 900, N0 / L, seed=13)
