@@ -4,9 +4,10 @@ Under the null the scaled statistic follows a central chi-squared law
 with 2p degrees of freedom; under a packet with effective channel taps
 theta it is noncentral with lambda = 2*beta*theta^H theta.  Everything
 here is pure computation on small dense objects: thresholds, the exact
-statistic (oracle), the banded low-complexity form, multi-radio-band
-combining, theory curves, and Fisher-information checks that justify
-the beta*I approximation the fast path rests on.
+statistic (oracle), the banded low-complexity form, the multi-radio
+band split, theory P_D with its inverse eta_for_pd (the SNR where P_D
+reaches a target), and Fisher-information checks that justify the
+beta*I approximation the fast path rests on.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ from .numerics import (
 __all__ = [
     "DetectionConfig",
     "TestStatistic",
-    "TheoryPoint",
     "FimReport",
     "compute_beta",
     "threshold",
     "rao_exact",
     "rao_low_complexity",
-    "mrb_combine",
     "noncentrality_srb",
     "noncentrality_mrb",
+    "noncentrality_at_eta",
     "theory_pd",
+    "eta_for_pd",
     "deflection_pd",
     "required_eta_db",
     "cfo_grid_span_hz",
@@ -44,7 +45,6 @@ __all__ = [
     "fim_approx_report",
     "mrb_fim_report",
     "ideal_band_split",
-    "theory_curve",
 ]
 
 
@@ -89,13 +89,6 @@ class TestStatistic:
     def __post_init__(self):
         if self.value < 0.0:
             raise ValueError("statistic must be >= 0")
-
-
-@dataclass(frozen=True)
-class TheoryPoint:
-    eta_db: float
-    noncentrality: float
-    p_d: float
 
 
 @dataclass(frozen=True)
@@ -205,14 +198,6 @@ def rao_low_complexity(y: np.ndarray, h: np.ndarray, phi_hat, beta: float) -> fl
     return float(2.0 / beta * np.sum(np.abs(u) ** 2))
 
 
-def mrb_combine(per_radio_statistics) -> float:
-    """Sum of per-radio statistics (each already scaled by its 2/beta_m)."""
-    stats = list(per_radio_statistics)
-    if not stats:
-        raise ValueError("need at least one per-radio statistic")
-    return float(sum(stats))
-
-
 def noncentrality_srb(theta, phi, preamble_length: int, num_subbands: int) -> float:
     """lambda = (2N/L) theta^H theta sum_k 1/Phi[k] (= 2 beta theta^H theta)."""
     t = np.asarray(getattr(theta, "theta", theta), dtype=np.complex128)
@@ -234,12 +219,68 @@ def noncentrality_mrb(theta_m, phi_m, preamble_length: int, bands_per_radio: int
     return total
 
 
+def noncentrality_at_eta(eta_db: float, preamble_length: int, num_subbands: int) -> float:
+    """White-noise lambda = 2 N L eta at chip SNR eta_db."""
+    return 2.0 * preamble_length * num_subbands * 10.0 ** (eta_db / 10.0)
+
+
 def theory_pd(p_fa: float, p: int, noncentrality: float, j_grid: int = 1) -> float:
     """Detection probability of the 2p-dof noncentral chi-squared law."""
     if noncentrality < 0.0:
         raise ValueError("noncentrality must be >= 0")
     gamma = threshold(p_fa, p, j_grid)
     return noncentral_chi2_tail(2 * p, noncentrality, gamma)
+
+
+# eta_for_pd's bracket: deflection solution +- _BRACKET_DB, and at most
+# _BRACKET_PROBES checks, each failed one moving an end out by a step
+# that doubles, so a checked end lies at most 3 * 2^5 = 96 dB from it
+_BRACKET_DB = 3.0
+_BRACKET_PROBES = 6
+
+
+def eta_for_pd(
+    p_fa: float,
+    p: int,
+    target_pd: float,
+    preamble_length: int,
+    num_subbands: int,
+) -> float:
+    """Chip SNR in dB where theory_pd (j = 1) reaches target_pd.
+
+    Bisection on the exact noncentral law, not the deflection
+    approximation, so placements like "the point where P_D = 0.5" land
+    on the same curve run_point reports as p_d_theory.  The bracket
+    starts around the deflection solution (required_eta_db), so no
+    probe lands at a noncentrality far beyond the answer.  Raises
+    ValueError unless p_fa < target_pd < 1, or when the bracket still
+    misses the target after its last widening.
+    """
+    center = required_eta_db(p_fa, target_pd, p, preamble_length, num_subbands)
+
+    def pd_at(eta_db: float) -> float:
+        lam = noncentrality_at_eta(eta_db, preamble_length, num_subbands)
+        return theory_pd(p_fa, p, lam)
+
+    step = _BRACKET_DB
+    lo, hi = center - step, center + step
+    for _ in range(_BRACKET_PROBES):
+        if pd_at(lo) > target_pd:
+            lo -= step
+        elif pd_at(hi) < target_pd:
+            hi += step
+        else:
+            break
+        step *= 2.0
+    else:
+        raise ValueError("target_pd out of reach for this configuration")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if pd_at(mid) < target_pd:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def deflection_pd(p_fa: float, d2: float) -> float:
@@ -401,19 +442,21 @@ def ideal_band_split(y: np.ndarray, num_subbands: int, radios: int) -> list[np.n
     return outs
 
 
-def cfo_grid_span_hz(preamble_duration_s: float, max_loss_db: float = 1.0) -> float:
-    """Grid spacing for a worst-case coherent-correlation straddle loss.
+# worst-case coherent-correlation straddle loss the CFO grid allows
+_CFO_MAX_LOSS_DB = 1.0
+
+
+def cfo_grid_span_hz(preamble_duration_s: float) -> float:
+    """Grid spacing for a worst-case straddle loss of _CFO_MAX_LOSS_DB.
 
     An offset df sustained over the whole preamble scales the coherent
     sum by |sinc-like Dirichlet factor|; solving for the offset that
-    costs `max_loss_db` and doubling it (worst case is mid-bin) gives
-    the spacing.  For 1 dB this is about 0.5124/preamble_duration.
+    costs 1 dB and doubling it (worst case is mid-bin) gives the
+    spacing, about 0.5124/preamble_duration.
     """
     if preamble_duration_s <= 0.0:
         raise ValueError("preamble duration must be positive")
-    if max_loss_db <= 0.0:
-        raise ValueError("max_loss_db must be positive")
-    target = 10.0 ** (-max_loss_db / 20.0)
+    target = 10.0 ** (-_CFO_MAX_LOSS_DB / 20.0)
     lo, hi = 0.0, math.pi  # half-offset phase across the preamble
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -427,34 +470,12 @@ def cfo_grid_span_hz(preamble_duration_s: float, max_loss_db: float = 1.0) -> fl
     return 2.0 * u / (math.pi * preamble_duration_s)
 
 
-def cfo_grid(range_hz: float, preamble_duration_s: float, max_loss_db: float = 1.0) -> np.ndarray:
+def cfo_grid(range_hz: float, preamble_duration_s: float) -> np.ndarray:
     """Uniform candidate offsets covering [-range, +range]."""
     if range_hz < 0.0:
         raise ValueError("range_hz must be >= 0")
     if range_hz == 0.0:
         return np.zeros(1)
-    spacing = cfo_grid_span_hz(preamble_duration_s, max_loss_db)
+    spacing = cfo_grid_span_hz(preamble_duration_s)
     count = max(2, int(math.ceil(2.0 * range_hz / spacing)) + 1)
     return np.linspace(-range_hz, range_hz, count)
-
-
-def theory_curve(
-    eta_db_values,
-    preamble_length: int,
-    num_subbands: int,
-    p: int,
-    p_fa: float,
-    j_grid: int = 1,
-) -> list[TheoryPoint]:
-    """Chi-squared theory P_D across an SNR sweep (white-noise lambda)."""
-    points = []
-    for eta_db in eta_db_values:
-        lam = 2.0 * preamble_length * num_subbands * 10.0 ** (eta_db / 10.0)
-        points.append(
-            TheoryPoint(
-                eta_db=float(eta_db),
-                noncentrality=lam,
-                p_d=theory_pd(p_fa, p, lam, j_grid),
-            )
-        )
-    return points

@@ -3,10 +3,11 @@
 A Scenario bundles everything one detection-probability curve needs:
 the waveform recipe, a channel profile, optional interference and CFO,
 the detector settings, and the trial budget.  run_point scores one SNR
-point (signal trials plus a separate noise-only false-alarm count) and
-run_curve sweeps the scenario's SNR grid, persisting each finished
-point so an interrupted sweep resumes where it stopped and writing the
-curve as CSV next to a text copy of the scenario.
+point (signal trials plus a separate noise-only false-alarm count, next
+to the chi-squared theory P_D from detector) and run_curve sweeps the
+scenario's SNR grid, persisting each finished point so an interrupted
+sweep resumes where it stopped and writing the curve as CSV next to a
+text copy of the scenario.
 
 Reproducibility contract: every random draw in a trial comes from a
 seed sequence keyed on (root_seed, SNR point key, stream tag, trial
@@ -48,7 +49,9 @@ from .channelizer import (
 from .detector import (
     DetectionConfig,
     cfo_grid,
+    eta_for_pd,
     ideal_band_split,
+    noncentrality_at_eta,
     theory_pd,
     threshold,
 )
@@ -67,7 +70,6 @@ __all__ = [
     "Scenario",
     "CurvePoint",
     "wilson_interval",
-    "eta_for_target_pd",
     "run_point",
     "run_curve",
     "measure_false_alarm",
@@ -212,10 +214,6 @@ class CurvePoint:
         if not self.wilson_low <= self.p_d_empirical <= self.wilson_high:
             raise ValueError("confidence interval must contain the estimate")
 
-    @property
-    def wilson_ci(self) -> tuple[float, float]:
-        return (self.wilson_low, self.wilson_high)
-
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
@@ -232,39 +230,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
         / denom
     )
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def eta_for_target_pd(
-    p_fa: float,
-    p: int,
-    target_pd: float,
-    preamble_length: int,
-    num_subbands: int,
-    j_grid: int = 1,
-) -> float:
-    """Chip SNR in dB where the chi-squared theory curve hits target_pd.
-
-    Bisection on the exact noncentral law, not the deflection
-    approximation, so placements like "the point where P_D = 0.5" land
-    on the same curve run_point reports as p_d_theory.
-    """
-    if not 0.0 < target_pd < 1.0:
-        raise ValueError("target_pd must be in (0, 1)")
-
-    def pd_at(eta_db: float) -> float:
-        lam = 2.0 * preamble_length * num_subbands * 10.0 ** (eta_db / 10.0)
-        return theory_pd(p_fa, p, lam, j_grid)
-
-    lo, hi = -90.0, 40.0
-    if pd_at(lo) > target_pd or pd_at(hi) < target_pd:
-        raise ValueError("target_pd out of reach for this configuration")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pd_at(mid) < target_pd:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +559,6 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     the true packet start.  False alarms are counted on separate
     noise-only streams at the same settings.
     """
-    if scenario.trials_per_point < 1:
-        raise ValueError("trials_per_point must be >= 1")
     det = scenario.detector
     wf = scenario.waveform
     trials = scenario.trials_per_point
@@ -607,7 +570,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
         )
     )
     crossings, windows = measure_false_alarm(scenario, eta_db, workers=workers)
-    lam = 2.0 * wf.preamble_length * wf.num_subbands * 10.0 ** (eta_db / 10.0)
+    lam = noncentrality_at_eta(eta_db, wf.preamble_length, wf.num_subbands)
     low, high = wilson_interval(detections, trials)
     return CurvePoint(
         eta_db=float(eta_db),
@@ -849,9 +812,7 @@ def load_scenario(path: str) -> Scenario:
 def _placed_sweep(
     p_fa: float, p: int, n: int, l: int, targets: tuple[float, ...]
 ) -> tuple[float, ...]:
-    return tuple(
-        round(eta_for_target_pd(p_fa, p, t, n, l), 3) for t in targets
-    )
+    return tuple(round(eta_for_pd(p_fa, p, t, n, l), 3) for t in targets)
 
 
 def _desk() -> Scenario:

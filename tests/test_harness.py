@@ -2,7 +2,8 @@
 that do not depend on worker count or resuming, refusal of foreign point
 state, theory inside the Wilson interval, the scenario text format, the
 values a scenario computes (CFO grid, threshold, receiver mode), the CFO
-search and the stream lead against the tracked warm-up."""
+search, the stream lead against the tracked warm-up and the presets'
+placed SNR sweeps."""
 
 import dataclasses
 import os
@@ -10,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from fbmcss import harness
+from fbmcss import detector, harness
 from fbmcss.channel import (
     DelaySpreadProfile,
     InterferenceConfig,
@@ -234,3 +235,34 @@ class TestBundle:
         anchors, _ = CascadeDetector(bundle.cfg).push(x)
         assert anchors[0] == tracked_first_anchor(bundle.cfg)
         assert bundle.lead_symbols_lo * L > anchors[0]
+
+
+# each preset's sweep, placed where theory P_D meets its targets and
+# rounded to 3 decimals
+PRESET_SWEEPS = {
+    "desk": (-32.077, -29.751, -27.091, -24.978, -23.335, -22.108, -20.361),
+    "narrowband": (-44.849, -43.903, -43.316, -42.774, -42.057, -41.172),
+    "wideband_short": (-37.193, -36.321, -35.782, -35.283, -34.625, -33.812),
+    "wideband": (-47.158, -46.287, -45.747, -45.249, -44.591, -43.778),
+}
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
+    def test_placed_sweep(self, name):
+        assert harness.preset(name).snr_sweep_db == PRESET_SWEEPS[name]
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
+    def test_placement_probes_stay_near_the_answer(self, name, monkeypatch):
+        # a tail at lambda ~ 1e10 sweeps two million terms; placement
+        # starts from the deflection solution and never goes there
+        tail = detector.noncentral_chi2_tail
+        seen = []
+
+        def recording(dof, noncentrality, x):
+            seen.append(noncentrality)
+            return tail(dof, noncentrality, x)
+
+        monkeypatch.setattr(detector, "noncentral_chi2_tail", recording)
+        harness.preset(name)
+        assert seen and max(seen) <= 1e6
