@@ -1,19 +1,28 @@
 """Streaming cascade filter-bank detection path.
 
-The detector is one chain of stage functions, each advancing its own
-state object: `afb_process` splits the input into L overlapping
-subcarrier bands with a polyphase analysis bank built on the transmit
-prototype (so analysis doubles as per-band pulse matched filtering);
-whitening scales each band by its conjugate code over the band's noise
-power, either pinned (`whiten_and_synthesize`) or estimated per hop
-from the trailing power window (`CascadeDetector`); `_synthesize`
-resynthesizes a full-rate stream with a polyphase interpolator, where
-each output sums only the lag_hops taps of its own phase;
-`matched_filter_bank` correlates it against the preamble comb; and the
-Rao score 2*energy/beta is emitted once per L input samples.
-`CascadeDetector.push` runs that chain.
-Estimated whitening needs a full window before its first hop, which
-delays the first scored anchor; `tracked_first_anchor` is that rule.
+The detector is one chain of stage functions on plain arrays, each
+advancing its own state object:
+
+- `afb_process` splits the input into L overlapping subcarrier bands
+  with a polyphase analysis bank built on the transmit prototype (so
+  analysis doubles as per-band pulse matched filtering) and returns the
+  new (bands, hops) block;
+- the band noise power phi is either pinned to one (L,) profile
+  (calibrated mode) or estimated per hop by `track_power` from the
+  trailing fifo_capacity hops, one (hops, L) row per hop;
+- `_whitened_residues` scales each band by its conjugate code over phi
+  and inverts across bands, one row per hop, for both modes;
+- `_synthesize` resynthesizes a full-rate stream y' with a polyphase
+  interpolator, where each output sums only the lag_hops taps of its
+  own phase;
+- `matched_filter_bank` correlates y' against the preamble comb;
+- the Rao score 2*energy/beta is emitted once per L input samples.
+
+`CascadeDetector.push` runs that chain.  Tracked whitening needs a full
+window before its first hop, which delays the first scored anchor;
+`tracked_first_anchor` is that rule.  A hop with no power estimate (a
+warm-up hop, or one whose window has zero median power) gets phi = +inf:
+its residue row is zero and it adds nothing to beta.
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -34,27 +43,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import TestStatistic, compute_beta
-from .numerics import ComplexSignal
+from .detector import compute_beta
 from .waveform import PrototypeFilter, SpreadingCode, WaveformConfig, pulse_origin_index
 
 __all__ = [
-    "BandPowerEstimate",
     "CascadeDetector",
     "ChannelizerConfig",
-    "DetectionEvent",
-    "DetectionReport",
-    "SubbandFrame",
     "afb_process",
     "analysis_state",
     "config_from_waveform",
-    "detect_stream",
-    "estimate_band_power",
     "matched_filter_bank",
     "mf_state",
+    "power_state",
     "synthesis_state",
+    "track_power",
     "tracked_first_anchor",
-    "whiten_and_synthesize",
 ]
 
 _POWER_FLOOR_RATIO = 1e-6
@@ -127,42 +130,6 @@ def config_from_waveform(
     )
 
 
-@dataclass(frozen=True)
-class SubbandFrame:
-    """Analysis output block: one row per band, one column per hop."""
-
-    values: np.ndarray
-    band_rate_hz: float
-    start_hop: int = 0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError("values must be a bands x time matrix")
-        if not self.band_rate_hz > 0.0:
-            raise ValueError("band_rate_hz must be positive")
-
-    @property
-    def num_bands(self) -> int:
-        return int(self.values.shape[0])
-
-
-@dataclass(frozen=True)
-class BandPowerEstimate:
-    """Per-band noise PSD estimates, referred to the full-rate plane."""
-
-    phi_hat: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi_hat, dtype=np.float64)
-        object.__setattr__(self, "phi_hat", phi)
-        if phi.ndim != 1 or phi.size == 0:
-            raise ValueError("phi_hat must be a nonempty vector")
-        if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
-            raise ValueError("phi_hat entries must be positive and finite")
-
-
 def _band_power(power: np.ndarray) -> np.ndarray:
     """Per-band PSD from a contiguous (bands, window) block of |x|^2.
 
@@ -170,22 +137,13 @@ def _band_power(power: np.ndarray) -> np.ndarray:
     full-rate per-band PSD is L times the subband sample variance; the
     chi-squared threshold calibration depends on this reference plane.
     The floor keeps silent bands from blowing up the whitening division.
-    Both the one-shot estimate and the tracked per-hop loop reduce
-    through here, so they agree bit for bit.
+    A window of zero median power has no estimate: every band is +inf.
     """
     phi = power.shape[0] * np.mean(power, axis=1)
     med = float(np.median(phi))
-    floor = _POWER_FLOOR_RATIO * med if med > 0.0 else np.finfo(np.float64).tiny
-    return np.maximum(phi, floor)
-
-
-def estimate_band_power(block) -> BandPowerEstimate:
-    """Band PSDs from a (bands, window) block of analysis samples."""
-    v = np.asarray(block, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] == 0:
-        raise ValueError("need a nonempty bands x window block")
-    power = np.ascontiguousarray(v.real**2 + v.imag**2)
-    return BandPowerEstimate(phi_hat=_band_power(power))
+    if med == 0.0:
+        return np.full(phi.size, np.inf)
+    return np.maximum(phi, _POWER_FLOOR_RATIO * med)
 
 
 def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> np.ndarray:
@@ -246,26 +204,21 @@ def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
     )
 
 
-def _as_samples(signal) -> tuple[np.ndarray, float | None]:
-    if isinstance(signal, ComplexSignal):
-        return signal.samples, signal.sample_rate_hz
-    return np.asarray(signal, dtype=np.complex128), None
-
-
 # complex elements in one block's zero-padded fold buffer (32 MiB)
 _AFB_BLOCK_ELEMENTS = 1 << 21
 
 
-def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandFrame:
+def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
     """Advance the analysis bank; returns the newly completed hops.
 
-    Output column i holds all L band samples for the window starting at
-    input sample i*hop: band k equals the input correlated against the
-    prototype modulated to subcarrier k, i.e. filtered and decimated.
+    The result is a (bands, hops) block.  Column i holds all L band
+    samples for the window starting at input sample i*hop: band k
+    equals the input correlated against the prototype modulated to
+    subcarrier k, i.e. filtered and decimated.
     """
     if state.cfg is not cfg:
         raise ValueError("state was built for a different config")
-    x, rate = _as_samples(chunk)
+    x = np.asarray(chunk, dtype=np.complex128)
     l = cfg.num_subbands
     d = cfg.hop
     taps = state.taps
@@ -273,14 +226,9 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
     data = np.concatenate([state.tail, x]) if state.tail.size else x
     start_hop = state.next_hop
     n_hops = (data.size - taps.size) // d + 1 if data.size >= taps.size else 0
-    band_rate = (rate if rate is not None else float(l)) / d
     if n_hops <= 0:
         state.tail = data.copy()
-        return SubbandFrame(
-            values=np.zeros((l, 0), dtype=np.complex128),
-            band_rate_hz=band_rate,
-            start_hop=start_hop,
-        )
+        return np.zeros((l, 0), dtype=np.complex128)
     offset = start_hop * d
     v = _stable_product(data, state.phase[(offset + np.arange(data.size)) % (2 * l)])
     out = np.empty((n_hops, l), dtype=np.complex128)
@@ -301,9 +249,49 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> SubbandF
     # copies: a view would alias the caller's buffer or pin the whole block
     state.tail = data[n_hops * d :].copy()
     state.next_hop = start_hop + n_hops
-    return SubbandFrame(
-        values=np.ascontiguousarray(out.T), band_rate_hz=band_rate, start_hop=start_hop
-    )
+    return np.ascontiguousarray(out.T)
+
+
+@dataclass
+class PowerState:
+    """|x|^2 of the last fifo_capacity analysis hops, one row per hop."""
+
+    tail: np.ndarray
+    tail_hop: int = 0
+
+    @property
+    def next_hop(self) -> int:
+        return self.tail_hop + self.tail.shape[0]
+
+
+def power_state(cfg: ChannelizerConfig) -> PowerState:
+    return PowerState(tail=np.zeros((0, cfg.num_subbands)))
+
+
+def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -> np.ndarray:
+    """Per-hop band PSD from the trailing power window, strictly causal.
+
+    values is the (bands, hops) block afb_process just returned.  Hop h
+    gets the _band_power of hops [h - fifo_capacity, h), so the result
+    has one (L,) row per hop.  Hops before the first full window have
+    no estimate and get +inf, as _band_power gives a silent window.
+    """
+    l = cfg.num_subbands
+    cap = cfg.fifo_capacity
+    start = state.next_hop
+    hops = values.shape[1]
+    power = (values.real**2 + values.imag**2).T  # (hops, L)
+    series = np.concatenate([state.tail, power], axis=0)
+    phis = np.full((hops, l), np.inf)
+    # per hop, reduce a contiguous (bands, cap) snapshot, so any
+    # chunking of the stream gives bit-identical estimates
+    for h in range(max(start, cap), start + hops):
+        a = h - cap - state.tail_hop
+        phis[h - start] = _band_power(np.ascontiguousarray(series[a : a + cap].T))
+    keep = min(series.shape[0], cap)
+    state.tail = series[series.shape[0] - keep :].copy()
+    state.tail_hop += series.shape[0] - keep
+    return phis
 
 
 def _interp_taps(cfg: ChannelizerConfig) -> np.ndarray:
@@ -440,32 +428,13 @@ def _whitened_residues(
     """Scale (bands, hops) samples by conj-code over phi, invert across bands.
 
     phi is one profile (L,) for every hop or one row per hop (hops, L);
-    broadcasting covers both.  Returns one row per hop.
+    broadcasting covers both.  Returns one row per hop, the input of
+    _synthesize.  With phi identically one the chain reduces to matched
+    filtering by the composite pulse; a band with phi = +inf is zeroed.
     """
     gains = _stable_quotient(state.weights, phi)
     scaled = _stable_product(values.T, gains)
     return np.fft.ifft(scaled, axis=1) * state.cfg.num_subbands
-
-
-def whiten_and_synthesize(
-    frame: SubbandFrame,
-    power: BandPowerEstimate,
-    cfg: ChannelizerConfig,
-    state: SynthesisState,
-) -> ComplexSignal:
-    """Scale bands by conj-code over phi_hat and resynthesize full rate.
-
-    With phi_hat identically one this reduces to matched filtering by
-    the composite pulse; the returned samples extend the y' stream from
-    wherever the previous call stopped (anchor time base).
-    """
-    if frame.num_bands != cfg.num_subbands:
-        raise ValueError("frame band count does not match config")
-    if power.phi_hat.size != cfg.num_subbands:
-        raise ValueError("power estimate length does not match config")
-    z = _whitened_residues(frame.values, power.phi_hat, state)
-    out = _synthesize(z, state)
-    return ComplexSignal(out, frame.band_rate_hz * cfg.hop)
 
 
 @dataclass
@@ -495,7 +464,7 @@ def matched_filter_bank(
     anchor of the first returned column is state.next_anchor*L before
     the call.
     """
-    y, _ = _as_samples(yprime)
+    y = np.asarray(yprime, dtype=np.complex128)
     l = cfg.num_subbands
     n = cfg.preamble_length
     p = cfg.branch_count
@@ -517,167 +486,76 @@ def matched_filter_bank(
     return out
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    index: int
-    statistic: float
-
-
-@dataclass(frozen=True)
-class DetectionReport:
-    events: list[DetectionEvent]
-    best: TestStatistic | None
-
-
 class CascadeDetector:
     """Stateful end-to-end pipeline: push samples, get scored windows.
 
-    One instance per stream; single writer.  push chains the stage
-    functions: afb_process, whitening, synthesis, matched_filter_bank,
-    then the score 2*energy/beta.  With power_override the whitening
-    gains and beta are pinned (calibration mode, whiten_and_synthesize)
-    and scoring starts at anchor zero.  Otherwise each hop is whitened
-    with the band power over the trailing fifo_capacity hops, strictly
-    before it, reduced like estimate_band_power; scoring then starts at
-    tracked_first_anchor(cfg), the one home of that warm-up rule.
+    One instance per stream; single writer.  push runs the stage chain
+    on plain arrays: afb_process, the power profile phi,
+    _whitened_residues, _synthesize, matched_filter_bank, then the
+    score 2*energy/beta.  power_override pins phi to one (L,) profile
+    for every hop (calibrated mode), and scoring starts at anchor zero.
+    Otherwise track_power gives each hop the band power of the
+    fifo_capacity hops before it, and scoring starts at
+    tracked_first_anchor(cfg), the one home of that warm-up rule.  A
+    window's beta is that of the newest hop it reaches, which is always
+    one whitened in the same push; a window whose newest hop has no
+    estimate scores 0.0.  Non-finite samples are refused before any
+    stage state moves.
     """
 
-    def __init__(
-        self,
-        cfg: ChannelizerConfig,
-        power_override=None,
-        record_power: bool = False,
-    ):
+    def __init__(self, cfg: ChannelizerConfig, power_override=None):
         self.cfg = cfg
         self._afb = analysis_state(cfg)
         self._sfb = synthesis_state(cfg)
         self._mf = mf_state(cfg)
-        self._override = None
-        self._beta_const = None
-        self._min_anchor = 0
-        if power_override is not None:
-            values = getattr(power_override, "phi_hat", power_override)
-            phi = np.asarray(values, dtype=np.float64)
-            if phi.size != cfg.num_subbands:
-                raise ValueError("power override length does not match config")
-            self._override = BandPowerEstimate(phi)
-            self._beta_const = compute_beta(phi, cfg.preamble_length, cfg.num_subbands)
-        else:
+        # last sample of a window past its anchor, then through the
+        # interpolator delay: the newest hop the window reaches
+        self._beta_hop_offset = (
+            (cfg.preamble_length - 1) * cfg.num_subbands
+            + cfg.branch_count
+            - 1
+            + self._sfb.delay
+        )
+        if power_override is None:
+            self._power = power_state(cfg)
             self._min_anchor = tracked_first_anchor(cfg)
-        self._power_tail = np.zeros((0, cfg.num_subbands))
-        self._power_tail_hop = 0
-        self._beta_by_hop: dict[int, float] = {}
-        self.power_trace: list[tuple[int, np.ndarray]] = [] if record_power else None
+        else:
+            self._power = None
+            self._min_anchor = 0
+            self._phi = np.array(power_override, dtype=np.float64)
+            if self._phi.shape != (cfg.num_subbands,):
+                raise ValueError("power override length does not match config")
+            self._beta = compute_beta(self._phi, cfg.preamble_length, cfg.num_subbands)
 
     def push(self, chunk) -> tuple[np.ndarray, np.ndarray]:
         """Process more samples; returns (anchor indices, statistics)."""
         cfg = self.cfg
-        frame = afb_process(chunk, cfg, self._afb)
-        if self._override is not None:
-            y_new = whiten_and_synthesize(frame, self._override, cfg, self._sfb)
+        x = np.asarray(chunk, dtype=np.complex128)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
+        first_hop = self._afb.next_hop
+        values = afb_process(x, cfg, self._afb)
+        if self._power is None:
+            phi = self._phi
         else:
-            y_new = _synthesize(self._whiten_tracked(frame), self._sfb)
-        branches = matched_filter_bank(y_new, cfg, self._mf)
+            phi = track_power(values, cfg, self._power)
+        z = _whitened_residues(values, phi, self._sfb)
+        branches = matched_filter_bank(_synthesize(z, self._sfb), cfg, self._mf)
         n_win = branches.shape[1]
-        if n_win == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        first = self._mf.next_anchor - n_win
-        anchors = (first + np.arange(n_win)) * cfg.num_subbands
-        energies = (branches.real**2 + branches.imag**2).sum(axis=0)
+        anchors = (self._mf.next_anchor - n_win + np.arange(n_win)) * cfg.num_subbands
         keep = anchors >= self._min_anchor
         anchors = anchors[keep]
-        return anchors, 2.0 * energies[keep] / self._betas_for(anchors)
-
-    def _whiten_tracked(self, frame: SubbandFrame) -> np.ndarray:
-        """Per-hop gains from the trailing power window, strictly causal."""
-        cfg = self.cfg
-        l = cfg.num_subbands
-        cap = cfg.fifo_capacity
-        hops = frame.values.shape[1]
-        power = (frame.values.real**2 + frame.values.imag**2).T  # (hops, L)
-        series = np.concatenate([self._power_tail, power], axis=0)
-        series_base = self._power_tail_hop
-        z = np.zeros((hops, l), dtype=np.complex128)
-        # hop i uses mean power over hops [i-cap, i)
-        first_scaled = max(frame.start_hop, cap)
-        count = frame.start_hop + hops - first_scaled
-        if count > 0:
-            # per hop, reduce a contiguous (bands, cap) snapshot, so any
-            # chunking of the stream gives bit-identical estimates
-            phis = np.empty((count, l))
-            for row in range(count):
-                a = first_scaled + row - cap - series_base
-                phi = _band_power(np.ascontiguousarray(series[a : a + cap].T))
-                phis[row] = phi
-                self._beta_by_hop[first_scaled + row] = compute_beta(
-                    phi, cfg.preamble_length, l
-                )
-            if self.power_trace is not None:
-                for row in range(count):
-                    self.power_trace.append((first_scaled + row, phis[row].copy()))
-            lo = first_scaled - frame.start_hop
-            z[lo:] = _whitened_residues(frame.values[:, lo:], phis, self._sfb)
-        tail_rows = min(series.shape[0], cap)
-        self._power_tail = series[series.shape[0] - tail_rows :].copy()
-        self._power_tail_hop = series_base + series.shape[0] - tail_rows
-        return z
-
-    def _betas_for(self, anchors: np.ndarray) -> np.ndarray:
-        if self._beta_const is not None:
-            return np.full(anchors.size, self._beta_const)
-        cfg = self.cfg
-        delay = self._sfb.delay
-        out = np.empty(anchors.size)
-        for idx, anchor in enumerate(anchors):
-            window_end = anchor + (cfg.preamble_length - 1) * cfg.num_subbands + (
-                cfg.branch_count - 1
-            )
-            # scored anchors start at tracked_first_anchor, so every hop
-            # they reach has a full window and a beta
-            last_hop = (window_end + delay) // cfg.hop
-            beta = self._beta_by_hop.get(last_hop)
-            if beta is None:
-                raise RuntimeError(f"no power estimate for hop {last_hop}")
-            out[idx] = beta
-        # drop betas no longer reachable so the dict stays bounded
-        if anchors.size:
-            horizon = int(anchors[-1]) // cfg.hop - 2 * cfg.fifo_capacity
-            for h in [h for h in self._beta_by_hop if h < horizon]:
-                del self._beta_by_hop[h]
-        return out
-
-
-def detect_stream(
-    signal,
-    cfg: ChannelizerConfig,
-    threshold: float,
-    power_override: BandPowerEstimate | None = None,
-    chunk_samples: int = 1 << 17,
-) -> DetectionReport:
-    """Run the full pipeline over a signal and report threshold crossings.
-
-    Events carry the window anchor on the input time base.  best is the
-    argmax window whether or not it crossed, None if no window completed.
-    """
-    x, _ = _as_samples(signal)
-    det = CascadeDetector(cfg, power_override=power_override)
-    events: list[DetectionEvent] = []
-    best_val = -np.inf
-    best_anchor = 0
-    seen = False
-    for lo in range(0, x.size, chunk_samples):
-        anchors, stats = det.push(x[lo : lo + chunk_samples])
-        if anchors.size == 0:
-            continue
-        seen = True
-        over = stats > threshold
-        for a, t in zip(anchors[over], stats[over]):
-            events.append(DetectionEvent(index=int(a), statistic=float(t)))
-        peak = int(np.argmax(stats))
-        if stats[peak] > best_val:
-            best_val = float(stats[peak])
-            best_anchor = int(anchors[peak])
-    best = (
-        TestStatistic(value=best_val, window_index=best_anchor) if seen else None
-    )
-    return DetectionReport(events=events, best=best)
+        # ascending branch order for any window count: numpy's sum over
+        # one column goes pairwise, which rounds differently from p >= 8
+        energies = np.zeros(n_win)
+        for row in branches:
+            energies += row.real**2 + row.imag**2
+        energies = energies[keep]
+        if self._power is None:
+            beta = self._beta
+        else:
+            rows = (anchors + self._beta_hop_offset) // cfg.hop - first_hop
+            beta = compute_beta(phi[rows], cfg.preamble_length, cfg.num_subbands)
+        stats = np.zeros(anchors.size)
+        np.divide(2.0 * energies, beta, out=stats, where=beta > 0.0)
+        return anchors, stats

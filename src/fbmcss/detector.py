@@ -26,7 +26,6 @@ from .numerics import (
 
 __all__ = [
     "DetectionConfig",
-    "TestStatistic",
     "FimReport",
     "compute_beta",
     "threshold",
@@ -75,21 +74,6 @@ class DetectionConfig:
     def taps_per_radio(self) -> int:
         return self.p // self.radios
 
-    def bands_per_radio(self, num_subbands: int) -> int:
-        if num_subbands % self.radios != 0:
-            raise ValueError("num_subbands must be divisible by the radio count")
-        return num_subbands // self.radios
-
-
-@dataclass(frozen=True)
-class TestStatistic:
-    value: float
-    window_index: int = 0
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("statistic must be >= 0")
-
 
 @dataclass(frozen=True)
 class FimReport:
@@ -99,29 +83,31 @@ class FimReport:
     block_inverse_max_dev: float = 0.0
 
 
-def _phi_array(phi_hat) -> np.ndarray:
-    """Accept a BandPowerEstimate or any positive array of band PSDs."""
-    values = getattr(phi_hat, "phi_hat", phi_hat)
-    phi = np.asarray(values, dtype=np.float64)
-    if phi.size == 0:
+def _phi_array(phi) -> np.ndarray:
+    """Band PSDs as float64 along the last axis; +inf is a band with no estimate."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.ndim == 0 or phi.shape[-1] == 0:
         raise ValueError("phi must be nonempty")
-    if np.any(phi <= 0.0) or not np.all(np.isfinite(phi)):
-        raise ValueError("phi entries must be positive and finite")
+    if not np.all(phi > 0.0):
+        raise ValueError("phi entries must be positive")
     return phi
 
 
-def compute_beta(phi_hat, preamble_length: int, num_subbands: int) -> float:
+def compute_beta(phi, preamble_length: int, num_subbands: int) -> float | np.ndarray:
     """beta = (N/L) * sum_k 1/Phi[k]; the statistic's scale constant.
 
     A band with huge Phi contributes nearly nothing: interference in
-    that band costs its share of processing gain and nothing else.
+    that band costs its share of processing gain and nothing else, and
+    a band with Phi = +inf contributes exactly nothing.  phi is one (L,)
+    profile, giving a float, or (rows, L), giving one beta per row.
     """
-    phi = _phi_array(phi_hat)
-    if phi.size != num_subbands:
-        raise ValueError("phi length must equal num_subbands")
+    phi = _phi_array(phi)
+    if phi.ndim > 2 or phi.shape[-1] != num_subbands:
+        raise ValueError("phi must be (num_subbands,) or (rows, num_subbands)")
     if preamble_length < 1:
         raise ValueError("preamble_length must be >= 1")
-    return preamble_length / num_subbands * float(np.sum(1.0 / phi))
+    beta = preamble_length / num_subbands * np.sum(1.0 / phi, axis=-1)
+    return float(beta) if phi.ndim == 1 else beta
 
 
 def threshold(p_fa: float, p: int, j_grid: int = 1) -> float:

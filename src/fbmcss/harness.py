@@ -215,12 +215,13 @@ class CurvePoint:
             raise ValueError("confidence interval must contain the estimate")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be in [0, trials]")
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -558,6 +559,12 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     the threshold and that window's anchor lies within p + L samples of
     the true packet start.  False alarms are counted on separate
     noise-only streams at the same settings.
+
+    p_d_theory is the law of the one window aligned with the packet.
+    The empirical count takes any window within +-(p + L) of the start,
+    which is two or three windows, so at low eta, where each of them
+    crosses at about the false-alarm rate, it can sit about 2*P_FA above
+    theory.
     """
     det = scenario.detector
     wf = scenario.waveform

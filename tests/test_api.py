@@ -2,8 +2,12 @@
 
 import importlib
 import pkgutil
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python < 3.11
+    import tomli as tomllib
 
 import pytest
 

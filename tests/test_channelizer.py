@@ -10,9 +10,9 @@ from scipy import stats as sps
 from fbmcss.channel import assemble_stream
 from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
-    BandPowerEstimate,
+    _POWER_FLOOR_RATIO,
     CascadeDetector,
-    SubbandFrame,
+    _band_power,
     _interp_taps,
     _phase_table,
     _stable_product,
@@ -21,12 +21,11 @@ from fbmcss.channelizer import (
     afb_process,
     analysis_state,
     config_from_waveform,
-    detect_stream,
-    estimate_band_power,
     matched_filter_bank,
     mf_state,
+    power_state,
     synthesis_state,
-    whiten_and_synthesize,
+    track_power,
 )
 from fbmcss.detector import compute_beta, rao_low_complexity, threshold
 from fbmcss.numerics import ComplexSignal
@@ -75,6 +74,32 @@ def white(n, var, seed):
     return np.sqrt(var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def power_of(values):
+    """Contiguous |x|^2 of a (bands, hops) block, as _band_power reduces it."""
+    return np.ascontiguousarray(values.real**2 + values.imag**2)
+
+
+def tracked_profiles(x, cfg, cuts=()):
+    """track_power's (hops, L) rows for x pushed in the given pieces."""
+    st_a = analysis_state(cfg)
+    st_p = power_state(cfg)
+    rows = []
+    lo = 0
+    for step in list(cuts) + [x.size]:
+        rows.append(track_power(afb_process(x[lo : lo + step], cfg, st_a), cfg, st_p))
+        lo += step
+    return np.concatenate(rows)
+
+
+def whiten_and_synth(values, phi, state):
+    """y' for one analysis block: whitening, then synthesis, full rate.
+
+    The oracle stream the detector scores, like DirectFormSynthesis is
+    the oracle of _synthesize.
+    """
+    return _synthesize(_whitened_residues(values, phi, state), state)
+
+
 class TestChannelizerConfig:
     def test_derived_sizes(self, cfg):
         assert cfg.hop == L // 2
@@ -115,12 +140,12 @@ class TestAnalysisBank:
         for n1 in (700, 955):
             x = np.zeros(4000, dtype=np.complex128)
             x[n1] = 1.0
-            frame = afb_process(x, cfg, analysis_state(cfg))
-            for m in range(frame.values.shape[1]):
+            values = afb_process(x, cfg, analysis_state(cfg))
+            for m in range(values.shape[1]):
                 idx = n1 - m * d
                 tap = h[idx] if 0 <= idx < h.size else 0.0
                 ref = tap * np.exp(-2j * np.pi * nu * n1)
-                assert np.max(np.abs(frame.values[:, m] - ref)) < 1e-11
+                assert np.max(np.abs(values[:, m] - ref)) < 1e-11
 
     def test_tone_concentrates_in_its_band(self, wf, cfg):
         h = cfg.prototype.taps
@@ -128,10 +153,10 @@ class TestAnalysisBank:
         j_band = 5
         n = 6000
         tone = np.exp(2j * np.pi * nu[j_band] * np.arange(n))
-        frame = afb_process(tone, cfg, analysis_state(cfg))
+        values = afb_process(tone, cfg, analysis_state(cfg))
         last = (n - h.size) // cfg.hop
         mid = np.arange(2, last - 2)
-        mags = np.abs(frame.values[:, mid])
+        mags = np.abs(values[:, mid])
         # steady-state magnitudes are hop invariant for a pure tone
         assert np.max(mags.max(axis=1) - mags.min(axis=1)) < 1e-11
         grid = np.arange(h.size)
@@ -158,22 +183,22 @@ class TestAnalysisBank:
         x1 = white(3000, 1.0, 11)
         x2 = white(3000, 1.0, 12)
         a, b = 2.0 - 1.0j, -0.5 + 3.0j
-        f1 = afb_process(x1, cfg, analysis_state(cfg)).values
-        f2 = afb_process(x2, cfg, analysis_state(cfg)).values
-        f12 = afb_process(a * x1 + b * x2, cfg, analysis_state(cfg)).values
+        f1 = afb_process(x1, cfg, analysis_state(cfg))
+        f2 = afb_process(x2, cfg, analysis_state(cfg))
+        f12 = afb_process(a * x1 + b * x2, cfg, analysis_state(cfg))
         assert np.max(np.abs(f12 - (a * f1 + b * f2))) < 1e-12
 
     def test_streaming_matches_batch_bitwise(self, cfg):
         x = white(21000, 1.0, 13)
-        whole = afb_process(x, cfg, analysis_state(cfg)).values
+        whole = afb_process(x, cfg, analysis_state(cfg))
         state = analysis_state(cfg)
         pieces = []
         cuts = [1, 8, 137, 0, 4096, 33, 1000, 17, 8192, 129, 7000]
         lo = 0
         for step in cuts:
-            pieces.append(afb_process(x[lo : lo + step], cfg, state).values)
+            pieces.append(afb_process(x[lo : lo + step], cfg, state))
             lo += step
-        pieces.append(afb_process(x[lo:], cfg, state).values)
+        pieces.append(afb_process(x[lo:], cfg, state))
         chunked = np.concatenate(pieces, axis=1)
         assert chunked.shape == whole.shape
         assert np.array_equal(chunked, whole)
@@ -182,28 +207,21 @@ class TestAnalysisBank:
         x = white(1 << 17, 1.0, 19)
         state = analysis_state(cfg)
         span_slots = -(-state.taps.size // L)
-        whole = afb_process(x, cfg, state).values
+        whole = afb_process(x, cfg, state)
         # the one-shot call folds more hops than one block holds
         assert whole.shape[1] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
         for step in (37, 5000):
             st = analysis_state(cfg)
             pieces = [
-                afb_process(x[lo : lo + step], cfg, st).values
+                afb_process(x[lo : lo + step], cfg, st)
                 for lo in range(0, x.size, step)
             ]
             assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
 
-    def test_band_rate_follows_input_rate(self, cfg):
-        sig = ComplexSignal(white(2000, 1.0, 14), FS)
-        frame = afb_process(sig, cfg, analysis_state(cfg))
-        assert frame.band_rate_hz == pytest.approx(FS / cfg.hop)
-        bare = afb_process(sig.samples, cfg, analysis_state(cfg))
-        assert bare.band_rate_hz == pytest.approx(L / cfg.hop)
-
     def test_short_input_defers_output(self, cfg):
         state = analysis_state(cfg)
-        frame = afb_process(np.zeros(16, dtype=np.complex128), cfg, state)
-        assert frame.values.shape == (L, 0)
+        values = afb_process(np.zeros(16, dtype=np.complex128), cfg, state)
+        assert values.shape == (L, 0)
         assert state.tail.size == 16
 
 
@@ -217,8 +235,8 @@ class TestBandPowerTracking:
         cols = np.sqrt(n0 / l8 / 2) * (
             rng.standard_normal((l8, 2048)) + 1j * rng.standard_normal((l8, 2048))
         )
-        est = estimate_band_power(cols)
-        assert np.max(np.abs(est.phi_hat - n0)) / n0 < 0.05
+        phi = _band_power(power_of(cols))
+        assert np.max(np.abs(phi - n0)) / n0 < 0.05
 
     def test_strong_tone_dominates_one_band(self, wf_big, cfg_big):
         h = cfg_big.prototype.taps
@@ -231,18 +249,25 @@ class TestBandPowerTracking:
         )
         amp = np.sqrt(1000.0 / 8) / np.abs(np.sum(h))
         x = x + amp * np.exp(2j * np.pi * nu[j_band] * np.arange(ns))
-        frame = afb_process(x, cfg_big, analysis_state(cfg_big))
-        est = estimate_band_power(frame.values[:, -cfg_big.fifo_capacity :])
-        ratio = est.phi_hat[j_band] / np.median(np.delete(est.phi_hat, j_band))
+        values = afb_process(x, cfg_big, analysis_state(cfg_big))
+        phi = _band_power(power_of(values[:, -cfg_big.fifo_capacity :]))
+        ratio = phi[j_band] / np.median(np.delete(phi, j_band))
         assert 900.0 < ratio < 1100.0
 
     def test_silent_input_floored_positive(self, cfg):
-        est = estimate_band_power(np.zeros((L, cfg.fifo_capacity), dtype=np.complex128))
-        assert np.all(est.phi_hat > 0.0)
+        # bands silent in a window whose median is positive are floored
+        # at a fixed fraction of that median
+        power = power_of(white(L * cfg.fifo_capacity, 1.0, 43).reshape(L, -1))
+        silent = [0, 5, 6]
+        power[silent] = 0.0
+        phi = _band_power(power)
+        assert np.all(phi > 0.0)
+        assert np.all(phi[silent] == _POWER_FLOOR_RATIO * np.median(phi))
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_band_power(np.zeros((L, 0), dtype=np.complex128))
+    def test_silent_window_has_no_estimate(self, cfg):
+        # zero median power: no profile to whiten with, like a warm-up hop
+        phi = _band_power(np.zeros((L, cfg.fifo_capacity)))
+        assert np.all(phi == np.inf)
 
     def test_estimate_depends_only_on_trailing_window(self, cfg):
         # two streams that differ only before sample `changed` give the
@@ -252,47 +277,33 @@ class TestBandPowerTracking:
         x1 = white(6000, N0 / L, 41)
         x2 = x1.copy()
         x2[:changed] = white(changed, 4.0 * N0 / L, 42)
-        traces = []
-        for x in (x1, x2):
-            det = CascadeDetector(cfg, record_power=True)
-            det.push(x)
-            traces.append(det.power_trace)
+        rows1 = tracked_profiles(x1, cfg)
+        rows2 = tracked_profiles(x2, cfg)
         first_clean = -(-changed // cfg.hop) + cap
-        assert traces[0][0][0] < first_clean < traces[0][-1][0]
-        for (hop, phi1), (hop2, phi2) in zip(*traces):
-            assert hop == hop2
-            if hop >= first_clean:
-                assert np.array_equal(phi1, phi2)
-            elif hop == cap:
-                assert not np.array_equal(phi1, phi2)
+        assert cap < first_clean < rows1.shape[0]
+        # hops before the first full window have no estimate
+        assert np.all(rows1[:cap] == np.inf) and np.all(np.isfinite(rows1[cap:]))
+        assert np.array_equal(rows1[first_clean:], rows2[first_clean:])
+        assert not np.array_equal(rows1[cap], rows2[cap])
 
     def test_pipeline_power_trace_matches_fifo_estimates(self, cfg):
         x = white(6000, N0 / L, 15)
-        det = CascadeDetector(cfg, record_power=True)
-        det.push(x)
-        frame = afb_process(x, cfg, analysis_state(cfg))
+        rows = tracked_profiles(x, cfg)
+        values = afb_process(x, cfg, analysis_state(cfg))
         cap = cfg.fifo_capacity
-        assert len(det.power_trace) > 10
-        for hop, phi in det.power_trace:
-            block = frame.values[:, hop - cap : hop]
-            assert np.array_equal(phi, estimate_band_power(block).phi_hat)
+        assert rows.shape == (values.shape[1], L) and rows.shape[0] > cap + 10
+        for hop in range(cap, rows.shape[0]):
+            block = values[:, hop - cap : hop]
+            assert np.array_equal(rows[hop], _band_power(power_of(block)))
 
     @given(cuts=st.lists(st.integers(min_value=0, max_value=500), max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_split_pushes_equal_bulk_push(self, cfg, cuts):
         x = white(2000, N0 / L, sum(cuts) + len(cuts))
-        bulk = CascadeDetector(cfg, record_power=True)
-        bulk.push(x)
-        split = CascadeDetector(cfg, record_power=True)
-        lo = 0
-        for step in cuts:
-            split.push(x[lo : lo + step])
-            lo += step
-        split.push(x[lo:])
-        assert len(split.power_trace) == len(bulk.power_trace) > 0
-        for (h1, phi1), (h2, phi2) in zip(bulk.power_trace, split.power_trace):
-            assert h1 == h2
-            assert np.array_equal(phi1, phi2)
+        bulk = tracked_profiles(x, cfg)
+        split = tracked_profiles(x, cfg, cuts)
+        assert bulk.shape[0] > cfg.fifo_capacity
+        assert split.tobytes() == bulk.tobytes()
 
 
 class DirectFormSynthesis:
@@ -363,9 +374,9 @@ class TestSynthesis:
             pieces = []
             lo = 0
             for step in steps:
-                frame = afb_process(x[lo : lo + step], c, st_a)
+                values = afb_process(x[lo : lo + step], c, st_a)
                 lo += step
-                z = _whitened_residues(frame.values, phi, st_s)
+                z = _whitened_residues(values, phi, st_s)
                 got = _synthesize(z, st_s)
                 assert got.tobytes() == oracle(z).tobytes()
                 pieces.append(got)
@@ -392,10 +403,8 @@ class TestSynthesis:
         oracle_full = np.convolve(x, np.conj(g[::-1]))
         for r, budget in ((2, 0.01), (4, 0.01)):
             c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
-            frame = afb_process(x, c, analysis_state(c))
-            y = whiten_and_synthesize(
-                frame, BandPowerEstimate(np.ones(L)), c, synthesis_state(c)
-            ).samples
+            values = afb_process(x, c, analysis_state(c))
+            y = whiten_and_synth(values, np.ones(L), synthesis_state(c))
             oracle = oracle_full[len(g) - 1 : len(g) - 1 + y.size]
             lo, hi = 2 * len(g), y.size - 2 * len(g)
             err = np.linalg.norm(y[lo:hi] - oracle[lo:hi]) / np.linalg.norm(
@@ -409,10 +418,8 @@ class TestSynthesis:
         k0 = 777
         x = np.zeros(6000, dtype=np.complex128)
         x[k0 : k0 + g.size] = g
-        frame = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synthesize(
-            frame, BandPowerEstimate(np.ones(L)), cfg, synthesis_state(cfg)
-        ).samples
+        values = afb_process(x, cfg, analysis_state(cfg))
+        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
         oracle = np.convolve(x, np.conj(g[::-1]))[g.size - 1 : g.size - 1 + y.size]
         err = np.linalg.norm(y - oracle) / np.linalg.norm(oracle)
         assert err < 0.01
@@ -423,10 +430,8 @@ class TestSynthesis:
 
     def test_whitened_noise_spectrum_flat(self, cfg):
         x = white(1 << 19, 1.0, 3)
-        frame = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synthesize(
-            frame, BandPowerEstimate(np.ones(L)), cfg, synthesis_state(cfg)
-        ).samples
+        values = afb_process(x, cfg, analysis_state(cfg))
+        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
         th = cfg.prototype.taps.size
         interior = y[4 * th : -(4 * th)]
         seg = 256
@@ -456,10 +461,8 @@ class TestSynthesis:
         profile[j_band] = n0 * (1.0 + 1e4)
 
         def line_over_quiet_db(phi):
-            frame = afb_process(x, cfg, analysis_state(cfg))
-            y = whiten_and_synthesize(
-                frame, BandPowerEstimate(phi), cfg, synthesis_state(cfg)
-            ).samples
+            values = afb_process(x, cfg, analysis_state(cfg))
+            y = whiten_and_synth(values, phi, synthesis_state(cfg))
             nfft = 1 << 17
             spec = np.abs(np.fft.fft(y[2 * th : 2 * th + nfft])) ** 2
             freqs = np.fft.fftfreq(nfft)
@@ -479,36 +482,22 @@ class TestSynthesis:
 
     def test_streaming_matches_batch_bitwise(self, cfg):
         x = white(30000, 1.0, 17)
-        phi = BandPowerEstimate(np.full(L, 1.5))
-        whole_frame = afb_process(x, cfg, analysis_state(cfg))
-        whole = whiten_and_synthesize(
-            whole_frame, phi, cfg, synthesis_state(cfg)
-        ).samples
+        phi = np.full(L, 1.5)
+        whole_values = afb_process(x, cfg, analysis_state(cfg))
+        whole = whiten_and_synth(whole_values, phi, synthesis_state(cfg))
         st_a = analysis_state(cfg)
         st_s = synthesis_state(cfg)
         pieces = []
         lo = 0
         for step in (100, 1, 5000, 0, 12345, 77, 3000):
-            frame = afb_process(x[lo : lo + step], cfg, st_a)
-            pieces.append(whiten_and_synthesize(frame, phi, cfg, st_s).samples)
+            values = afb_process(x[lo : lo + step], cfg, st_a)
+            pieces.append(whiten_and_synth(values, phi, st_s))
             lo += step
-        frame = afb_process(x[lo:], cfg, st_a)
-        pieces.append(whiten_and_synthesize(frame, phi, cfg, st_s).samples)
+        values = afb_process(x[lo:], cfg, st_a)
+        pieces.append(whiten_and_synth(values, phi, st_s))
         chunked = np.concatenate(pieces)
         assert chunked.size == whole.size
         assert np.array_equal(chunked, whole)
-
-    def test_length_mismatches_rejected(self, cfg):
-        frame = afb_process(white(2000, 1.0, 18), cfg, analysis_state(cfg))
-        with pytest.raises(ValueError):
-            whiten_and_synthesize(
-                frame, BandPowerEstimate(np.ones(L + 1)), cfg, synthesis_state(cfg)
-            )
-        short = SubbandFrame(values=frame.values[: L - 2], band_rate_hz=1.0)
-        with pytest.raises(ValueError):
-            whiten_and_synthesize(
-                short, BandPowerEstimate(np.ones(L)), cfg, synthesis_state(cfg)
-            )
 
 
 class TestMatchedFilterBank:
@@ -560,10 +549,8 @@ class TestMatchedFilterBank:
         x = white(6000, N0 / L, 23)
         phi = np.full(L, 1.5 * N0)
         anchors, stats = CascadeDetector(cfg, power_override=phi).push(x)
-        frame = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synthesize(
-            frame, BandPowerEstimate(phi), cfg, synthesis_state(cfg)
-        )
+        values = afb_process(x, cfg, analysis_state(cfg))
+        y = whiten_and_synth(values, phi, synthesis_state(cfg))
         branches = matched_filter_bank(y, cfg, mf_state(cfg))
         energies = (branches.real**2 + branches.imag**2).sum(axis=0)
         assert np.array_equal(anchors, np.arange(branches.shape[1]) * L)
@@ -612,13 +599,9 @@ class TestNullCalibration:
 class TestStatisticEquivalence:
     def gaps_against_reference(self, cfg, dense, phi):
         x = white(30000, N0 / L, 23)
-        frame = afb_process(x, cfg, analysis_state(cfg))
-        scored = whiten_and_synthesize(
-            frame, BandPowerEstimate(phi), cfg, synthesis_state(cfg)
-        ).samples
-        plain = whiten_and_synthesize(
-            frame, BandPowerEstimate(np.ones(L)), cfg, synthesis_state(cfg)
-        ).samples
+        values = afb_process(x, cfg, analysis_state(cfg))
+        scored = whiten_and_synth(values, phi, synthesis_state(cfg))
+        plain = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
         beta = compute_beta(phi, N, L)
         branches = matched_filter_bank(scored, cfg, mf_state(cfg))
         scores = 2.0 / beta * (branches.real**2 + branches.imag**2).sum(axis=0)
@@ -659,32 +642,30 @@ class TestDetection:
 
     def test_tracked_mode_pins_preamble_start(self, wf, cfg):
         stream, k0 = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
-        report = detect_stream(stream, cfg, threshold(1e-3, P))
-        assert report.best.window_index == k0
-        assert len(report.events) >= 1
-        assert report.best.value > threshold(1e-3, P)
+        anchors, stats = CascadeDetector(cfg).push(stream.samples)
+        assert anchors[np.argmax(stats)] == k0
+        assert stats.max() > threshold(1e-3, P)
 
     def test_calibrated_mode_pins_preamble_start(self, wf, cfg):
         stream, k0 = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
-        report = detect_stream(
-            stream, cfg, threshold(1e-3, P), power_override=np.full(L, N0)
-        )
-        assert report.best.window_index == k0
-        assert len(report.events) == 3
+        det = CascadeDetector(cfg, power_override=np.full(L, N0))
+        anchors, stats = det.push(stream.samples)
+        assert anchors[np.argmax(stats)] == k0
+        assert np.count_nonzero(stats > threshold(1e-3, P)) == 3
 
     def test_weak_preamble_stays_quiet(self, wf, cfg):
         stream, _ = self.embedded_preamble(wf, 0.15, 1600, 1500, 9)
-        report = detect_stream(
-            stream, cfg, threshold(1e-3, P), power_override=np.full(L, N0)
-        )
-        assert report.events == []
+        det = CascadeDetector(cfg, power_override=np.full(L, N0))
+        _, stats = det.push(stream.samples)
+        assert stats.size > 0
+        assert not np.any(stats > threshold(1e-3, P))
 
     def test_empty_and_short_streams(self, cfg):
-        empty = detect_stream(np.zeros(0, dtype=np.complex128), cfg, 10.0)
-        assert empty.events == []
-        assert empty.best is None
-        short = detect_stream(np.zeros(3 * L, dtype=np.complex128), cfg, 10.0)
-        assert short.best is None
+        det = CascadeDetector(cfg)
+        for x in (np.zeros(0, dtype=np.complex128), np.zeros(3 * L, dtype=np.complex128)):
+            anchors, stats = det.push(x)
+            assert anchors.size == 0 and anchors.dtype == np.int64
+            assert stats.size == 0 and stats.dtype == np.float64
 
     def test_override_length_mismatch_rejected(self, cfg):
         with pytest.raises(ValueError):
@@ -717,6 +698,20 @@ class TestDetection:
         assert np.array_equal(np.concatenate(stats), whole_stats)
         assert whole_stats.size > 0 and np.all(np.isfinite(whole_stats))
 
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_single_window_pushes_equal_one_shot_bitwise(self, wf, tracked):
+        # with p >= 8 branches, a push that completes one window must add
+        # the branch energies in the order a many-window push does
+        c = config_from_waveform(wf, branch_count=8)
+        x = white(6000, N0 / L, 47)
+        override = None if tracked else np.full(L, N0)
+        whole_anchors, whole_stats = CascadeDetector(c, power_override=override).push(x)
+        det = CascadeDetector(c, power_override=override)
+        pieces = [det.push(x[lo : lo + 7]) for lo in range(0, x.size, 7)]
+        assert whole_stats.size > 100
+        assert np.concatenate([a for a, _ in pieces]).tobytes() == whole_anchors.tobytes()
+        assert np.concatenate([s for _, s in pieces]).tobytes() == whole_stats.tobytes()
+
     @pytest.mark.parametrize("first", [7, 1000])
     @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
     def test_refilled_buffer_equals_copies_bitwise(self, cfg, tracked, first):
@@ -738,6 +733,41 @@ class TestDetection:
             assert np.array_equal(a, b) and np.array_equal(s, t)
             lo += n
         assert s.size > 0
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_non_finite_push_refused_before_any_state_moves(self, cfg, tracked):
+        x = white(12000, N0 / L, 39)
+        pieces = [x[:5000], x[5000:6000], x[6000:]]
+        override = None if tracked else np.full(L, N0)
+        ref = CascadeDetector(cfg, power_override=override)
+        want = [ref.push(piece) for piece in pieces]
+        det = CascadeDetector(cfg, power_override=override)
+        got = [det.push(pieces[0])]
+        for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+            bad = pieces[1].copy()
+            bad[400] = value
+            with pytest.raises(ValueError, match="finite"):
+                det.push(bad)
+        got += [det.push(piece) for piece in pieces[1:]]
+        assert want[-1][1].size > 0
+        for (a, s), (b, t) in zip(want, got):
+            assert a.tobytes() == b.tobytes() and s.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("gap", [1000, 5000])
+    def test_digital_silence_scores_finite(self, cfg, gap):
+        # hops whose power window is all zeros have no estimate: they
+        # whiten to zero, and windows whose beta hop is one of them score
+        # 0.0; the anchor grid stays regular
+        x = white(40000, N0 / L, 45)
+        x[20000 : 20000 + gap] = 0.0
+        anchors, stats = CascadeDetector(cfg).push(x)
+        assert np.all(np.isfinite(stats))
+        assert np.array_equal(anchors, anchors[0] + L * np.arange(anchors.size))
+        assert np.count_nonzero(stats == 0.0) > 0
+        # streams are causal, so the windows before the gap keep their bytes
+        clean_anchors, clean_stats = CascadeDetector(cfg).push(x[:20000])
+        assert clean_stats.tobytes() == stats[: clean_stats.size].tobytes()
+        assert clean_anchors.tobytes() == anchors[: clean_anchors.size].tobytes()
 
     def test_tracked_scoring_waits_for_estimator_fill(self, cfg):
         x = white(8000, N0 / L, 33)
