@@ -27,7 +27,6 @@ from .numerics import ComplexSignal
 
 __all__ = [
     "ChannelRealization",
-    "EffectiveTaps",
     "DelaySpreadProfile",
     "InterferenceConfig",
     "profile_preset",
@@ -66,26 +65,6 @@ class ChannelRealization:
     @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.gains) ** 2))
-
-
-@dataclass(frozen=True)
-class EffectiveTaps:
-    """Channel as seen through the composite pulse, sampled at T_s."""
-
-    theta: np.ndarray
-    sample_interval_s: float
-
-    def __post_init__(self):
-        t = np.asarray(self.theta, dtype=np.complex128)
-        object.__setattr__(self, "theta", t)
-        if t.size == 0:
-            raise ValueError("theta must be nonempty")
-        if not self.sample_interval_s > 0.0:
-            raise ValueError("sample_interval_s must be positive")
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.theta) ** 2))
 
 
 @dataclass(frozen=True)
@@ -196,8 +175,8 @@ def effective_taps(
     rho: ComplexSignal,
     p: int,
     sample_interval_s: float,
-) -> EffectiveTaps:
-    """theta[l] = sum_i c_i * rho(l*T_s - tau_i), l = 0..p-1.
+) -> np.ndarray:
+    """theta[l] = sum_i c_i * rho(l*T_s - tau_i), l = 0..p-1, as (p,) complex.
 
     rho is the composite-pulse autocorrelation with lag zero at its
     center sample; fractional delays are handled by linear
@@ -217,8 +196,7 @@ def effective_taps(
     re = np.interp(pos.ravel(), base, vals.real, left=0.0, right=0.0)
     im = np.interp(pos.ravel(), base, vals.imag, left=0.0, right=0.0)
     samples = (re + 1j * im).reshape(p, -1)
-    theta = samples @ channel.gains
-    return EffectiveTaps(theta=theta, sample_interval_s=sample_interval_s)
+    return samples @ channel.gains
 
 
 def apply_channel(signal: ComplexSignal, channel: ChannelRealization) -> ComplexSignal:
@@ -230,9 +208,9 @@ def apply_channel(signal: ComplexSignal, channel: ChannelRealization) -> Complex
     return ComplexSignal(out, signal.sample_rate_hz)
 
 
-def noise_psd_from_eta(eta_db: float, theta: EffectiveTaps, num_subbands: int) -> float:
+def noise_psd_from_eta(eta_db: float, theta: np.ndarray, num_subbands: int) -> float:
     """N0 such that theta^H theta / (L * N0) equals the requested eta."""
-    return theta.energy / (num_subbands * 10.0 ** (eta_db / 10.0))
+    return float(np.sum(np.abs(theta) ** 2)) / (num_subbands * 10.0 ** (eta_db / 10.0))
 
 
 def _lowpass_taps(cutoff_norm: float, num_taps: int = 128) -> np.ndarray:

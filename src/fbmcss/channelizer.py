@@ -20,9 +20,9 @@ advancing its own state object:
 
 `CascadeDetector.push` runs that chain.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
-`tracked_first_anchor` is that rule.  A hop with no power estimate (a
-warm-up hop, or one whose window has zero median power) gets phi = +inf:
-its residue row is zero and it adds nothing to beta.
+`tracked_first_anchor` is that rule.  A hop with no power estimate (in
+warm-up, or with a silent hop or zero median power in its window) gets
+phi = +inf: its residue row is zero and it adds nothing to beta.
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -68,9 +68,9 @@ _INTERP_ATTEN_DB = 80.0
 class ChannelizerConfig:
     """Static description of one cascade instance (one radio band).
 
-    num_subbands is L; outputs_per_symbol is the oversampling factor r,
-    so analysis outputs appear every L/r input samples.  branch_count is
-    the number of matched-filter branches p (delay hypotheses).
+    num_subbands is L, even: analysis outputs appear every hop = L/2
+    input samples.  branch_count is the number of matched-filter
+    branches p (delay hypotheses).
     """
 
     num_subbands: int
@@ -78,17 +78,13 @@ class ChannelizerConfig:
     code: SpreadingCode
     preamble_symbols: np.ndarray = field(repr=False)
     branch_count: int
-    outputs_per_symbol: int = 2
 
     def __post_init__(self):
         s = np.asarray(self.preamble_symbols, dtype=np.complex128)
         object.__setattr__(self, "preamble_symbols", s)
         l = self.num_subbands
-        r = self.outputs_per_symbol
-        if r < 2:
-            raise ValueError("outputs_per_symbol must be >= 2")
-        if l < 2 or l % r != 0:
-            raise ValueError("num_subbands must be a positive multiple of outputs_per_symbol")
+        if l < 2 or l % 2 != 0:
+            raise ValueError("num_subbands must be a positive even number")
         if not 1 <= self.branch_count < l:
             raise ValueError("branch_count must satisfy 1 <= p < num_subbands")
         if self.prototype.samples_per_symbol != l:
@@ -99,14 +95,14 @@ class ChannelizerConfig:
             raise ValueError("preamble_symbols must be a nonempty vector")
         if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
             raise ValueError("preamble symbols must be unit modulus")
-        # the band mainlobe must fit inside the synthesis interpolator
-        # passband, which ends at 0.9 of the decimated Nyquist
-        if (1.0 + self.prototype.rolloff) > 0.9 * r:
+        # the band mainlobe, (1 + rolloff)/(2L) each side, must end inside
+        # the interpolator passband, 0.9 of the decimated Nyquist 1/L
+        if 1.0 + self.prototype.rolloff > 1.8:
             raise ValueError("oversampling too low for the prototype rolloff")
 
     @property
     def hop(self) -> int:
-        return self.num_subbands // self.outputs_per_symbol
+        return self.num_subbands // 2
 
     @property
     def preamble_length(self) -> int:
@@ -114,19 +110,16 @@ class ChannelizerConfig:
 
     @property
     def fifo_capacity(self) -> int:
-        return self.outputs_per_symbol * self.preamble_length
+        return 2 * self.preamble_length
 
 
-def config_from_waveform(
-    waveform: WaveformConfig, branch_count: int, outputs_per_symbol: int = 2
-) -> ChannelizerConfig:
+def config_from_waveform(waveform: WaveformConfig, branch_count: int) -> ChannelizerConfig:
     return ChannelizerConfig(
         num_subbands=waveform.num_subbands,
         prototype=waveform.prototype,
         code=waveform.code,
         preamble_symbols=waveform.preamble_symbols,
         branch_count=branch_count,
-        outputs_per_symbol=outputs_per_symbol,
     )
 
 
@@ -274,7 +267,8 @@ def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -
     values is the (bands, hops) block afb_process just returned.  Hop h
     gets the _band_power of hops [h - fifo_capacity, h), so the result
     has one (L,) row per hop.  Hops before the first full window have
-    no estimate and get +inf, as _band_power gives a silent window.
+    no estimate and get +inf, as _band_power gives a silent window, and
+    so do hops whose window holds a silent hop (every band exactly zero).
     """
     l = cfg.num_subbands
     cap = cfg.fifo_capacity
@@ -282,12 +276,16 @@ def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -
     hops = values.shape[1]
     power = (values.real**2 + values.imag**2).T  # (hops, L)
     series = np.concatenate([state.tail, power], axis=0)
+    # silent[b] - silent[a] counts the silent hops in series[a:b]; past
+    # one, the filter transient would pass for the noise level
+    silent = np.concatenate([[0], np.cumsum(~np.any(series, axis=1))])
     phis = np.full((hops, l), np.inf)
     # per hop, reduce a contiguous (bands, cap) snapshot, so any
     # chunking of the stream gives bit-identical estimates
     for h in range(max(start, cap), start + hops):
         a = h - cap - state.tail_hop
-        phis[h - start] = _band_power(np.ascontiguousarray(series[a : a + cap].T))
+        if silent[a + cap] == silent[a]:
+            phis[h - start] = _band_power(np.ascontiguousarray(series[a : a + cap].T))
     keep = min(series.shape[0], cap)
     state.tail = series[series.shape[0] - keep :].copy()
     state.tail_hop += series.shape[0] - keep
@@ -469,7 +467,6 @@ def matched_filter_bank(
     n = cfg.preamble_length
     p = cfg.branch_count
     data = np.concatenate([state.tail, y]) if state.tail.size else y
-    base = state.next_anchor * l  # absolute index of data[0]
     reach = (n - 1) * l + p  # window span per anchor
     n_windows = (data.size - reach) // l + 1 if data.size >= reach else 0
     if n_windows <= 0:

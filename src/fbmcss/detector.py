@@ -186,7 +186,7 @@ def rao_low_complexity(y: np.ndarray, h: np.ndarray, phi_hat, beta: float) -> fl
 
 def noncentrality_srb(theta, phi, preamble_length: int, num_subbands: int) -> float:
     """lambda = (2N/L) theta^H theta sum_k 1/Phi[k] (= 2 beta theta^H theta)."""
-    t = np.asarray(getattr(theta, "theta", theta), dtype=np.complex128)
+    t = np.asarray(theta, dtype=np.complex128)
     energy = float(np.sum(np.abs(t) ** 2))
     if energy == 0.0:
         return 0.0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import typing
@@ -129,20 +130,17 @@ class WaveformSpec:
 class Scenario:
     """One experiment: a waveform in a channel, swept over SNR.
 
-    The receiver follows from detector.radios: one radio runs one cascade
-    over the full band (mode "srb"), M > 1 radios split the stream into
-    M contiguous sub-bands and sum the per-radio statistics ("mrb").
+    The receiver is detector.radios = M cascades over M contiguous
+    sub-bands of the stream, whose statistics are summed; M = 1 is the
+    single-radio receiver, one cascade over the full band.
     cfo_range_hz > 0 turns on a uniform carrier offset in
     [-range, +range] per signal trial and a search over cfo_grid_hz,
     whose size is the candidate count j of the threshold and the theory
     curve.  known_noise pins each trial's whitener to the true noise
     level (the calibrated detector the theory curves describe); with it
     off the receiver estimates band powers from its own trailing window.
-    start_jitter_span is the number of admissible packet-start residues
-    modulo a symbol: the scored window grid advances one symbol per hop
-    with detector.p delay branches each, so starts are drawn on that
-    lattice, which is the timing uncertainty the architecture itself
-    absorbs.
+    Packets start on the symbol lattice: the scored window grid
+    advances one symbol per window with detector.p delay branches each.
     """
 
     name: str
@@ -156,7 +154,6 @@ class Scenario:
     cfo_range_hz: float = 0.0
     known_noise: bool = True
     noise_windows: int = 4096
-    start_jitter_span: int = 1
     metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -180,12 +177,6 @@ class Scenario:
             raise ValueError("radio count must divide the subband count")
         if not self.cfo_range_hz >= 0.0:
             raise ValueError("cfo_range_hz must be >= 0")
-        if not 1 <= self.start_jitter_span <= self.detector.p:
-            raise ValueError("start_jitter_span must be in [1, detector.p]")
-
-    @property
-    def mode(self) -> str:
-        return "mrb" if self.detector.radios > 1 else "srb"
 
     @property
     def cfo_grid_hz(self) -> np.ndarray:
@@ -225,12 +216,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
-        / denom
-    )
-    return (max(0.0, center - half), min(1.0, center + half))
+    spread = phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)
+    half = z * math.sqrt(spread) / denom
+    # exactly 0 and 1 at the extremes, which rounding can leave just inside
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +274,16 @@ def _bundle(scenario: Scenario) -> _Bundle:
         return cached
     wf = scenario.waveform.build()
     det = scenario.detector
-    radio_cfgs: tuple[ChannelizerConfig, ...] = ()
-    if scenario.mode == "mrb":
+    cfg = config_from_waveform(wf, branch_count=det.p)
+    radio_cfgs = (cfg,)
+    if det.radios > 1:
         radio_cfgs = tuple(
             config_from_waveform(
                 _radio_waveform(wf, det.radios, m), branch_count=det.taps_per_radio
             )
             for m in range(det.radios)
         )
-        cfg = config_from_waveform(wf, branch_count=det.p)
-        warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
-    else:
-        cfg = config_from_waveform(wf, branch_count=det.p)
-        warmup = tracked_first_anchor(cfg)
+    warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
     l = wf.num_subbands
     grid_hz = scenario.cfo_grid_hz
     # lead is drawn past the tracked warm-up even in calibrated runs so
@@ -348,58 +336,44 @@ def _draw_seed(rng) -> int:
 # single-stream scoring
 
 
-def _override_profiles(scenario: Scenario, noise_psd: float):
-    """Whitener pins for (srb cfg, radio cfgs): None means tracked."""
-    if not scenario.known_noise:
-        return None, None
-    l = scenario.waveform.num_subbands
-    m = scenario.detector.radios
-    srb = np.full(l, noise_psd)
-    radios = np.full(l // m, noise_psd / m) if scenario.mode == "mrb" else None
-    return srb, radios
-
-
 def _stats_single(
     x: np.ndarray, bundle: _Bundle, scenario: Scenario, noise_psd: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(full-rate anchors, statistics) for one already-derotated stream."""
-    srb_override, radio_override = _override_profiles(scenario, noise_psd)
-    if scenario.mode == "srb":
-        det = CascadeDetector(bundle.cfg, power_override=srb_override)
-        return det.push(x)
+    """(full-rate anchors, statistics) for one already-derotated stream.
+
+    One cascade per radio over its L/M bands, statistics summed in radio
+    order; known noise pins each whitener to N0/M.  M = 1 is the SRB case.
+    """
     radios = scenario.detector.radios
     l = bundle.wf.num_subbands
-    pad = (-x.size) % l
-    if pad:
-        x = np.concatenate([x, np.zeros(pad, dtype=np.complex128)])
-    subs = ideal_band_split(x, l, radios)
-    anchor_sets = []
-    stat_sets = []
-    for cfg_m, sub in zip(bundle.radio_cfgs, subs):
-        det = CascadeDetector(cfg_m, power_override=radio_override)
-        anchors_m, stats_m = det.push(sub)
-        anchor_sets.append(anchors_m)
-        stat_sets.append(stats_m)
-    count = min(a.size for a in anchor_sets)
-    combined = np.sum([s[:count] for s in stat_sets], axis=0)
-    return anchor_sets[0][:count] * radios, combined
+    override = np.full(l // radios, noise_psd / radios) if scenario.known_noise else None
+    subs = [x]
+    if radios > 1:
+        padded = np.concatenate([x, np.zeros((-x.size) % l, dtype=np.complex128)])
+        subs = ideal_band_split(padded, l, radios)
+    results = [
+        CascadeDetector(cfg_m, power_override=override).push(sub)
+        for cfg_m, sub in zip(bundle.radio_cfgs, subs)
+    ]
+    count = min(a.size for a, _ in results)
+    # added from the first radio's array on: a sum from +0.0 would
+    # turn a -0.0 statistic into +0.0
+    combined = results[0][1][:count]
+    for _, stats_m in results[1:]:
+        combined = combined + stats_m[:count]
+    return results[0][0][:count] * radios, combined
 
 
 def _stats_over_grid(
     stream: ComplexSignal, bundle: _Bundle, scenario: Scenario, noise_psd: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window max of the statistic across the CFO candidate grid."""
-    anchors = None
-    best = None
+    results = []
     for df in bundle.grid_hz:
         x = stream if df == 0.0 else apply_cfo(stream, -df)
-        a, s = _stats_single(x.samples, bundle, scenario, noise_psd)
-        if best is None:
-            anchors, best = a, s
-        else:
-            n = min(best.size, s.size)
-            anchors, best = anchors[:n], np.maximum(best[:n], s[:n])
-    return anchors, best
+        results.append(_stats_single(x.samples, bundle, scenario, noise_psd))
+    n = min(s.size for _, s in results)
+    return results[0][0][:n], np.max([s[:n] for _, s in results], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +420,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
     n0 = noise_psd_from_eta(eta_db, theta, wf.num_subbands)
 
     l = wf.num_subbands
-    lead_symbols = int(rng.integers(bundle.lead_symbols_lo, bundle.lead_symbols_lo + 32))
-    jitter = int(rng.integers(0, scenario.start_jitter_span))
-    lead = lead_symbols * l + jitter
+    lead = l * int(rng.integers(bundle.lead_symbols_lo, bundle.lead_symbols_lo + 32))
     # assemble_stream takes the per-sample noise variance of the stream,
     # which is N0/L for a matched-filter-plane level N0
     stream, k0 = assemble_stream(
@@ -463,8 +435,6 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         stream = apply_cfo(stream, df)
 
     anchors, stats = _stats_over_grid(stream, bundle, scenario, n0)
-    if anchors is None or anchors.size == 0:
-        return False
     hits = (stats > bundle.thr) & (np.abs(anchors - k0) <= det.p + l)
     return bool(np.any(hits))
 
@@ -494,28 +464,18 @@ def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, in
         stream = add_interference(
             stream, scenario.interference, n0 / l, seed=_draw_seed(rng)
         )
-    anchors, stats = _stats_over_grid(stream, bundle, scenario, n0)
-    if anchors is None:
-        return 0, 0
+    _, stats = _stats_over_grid(stream, bundle, scenario, n0)
     return int(np.count_nonzero(stats > bundle.thr)), int(stats.size)
 
 
-def _signal_task(args) -> int:
-    scenario, eta_db, trial = args
-    return 1 if _signal_trial(scenario, eta_db, trial) else 0
-
-
-def _noise_task(args) -> tuple[int, int]:
-    scenario, eta_db, index = args
-    return _noise_trial(scenario, eta_db, index)
-
-
-def _map_tasks(fn, items, workers: int):
+def _map_trials(fn, scenario: Scenario, eta_db: float, indices: range, workers: int):
+    """[fn(scenario, eta_db, i) for i in indices], in a process pool if workers > 0."""
     if workers <= 0:
-        return [fn(item) for item in items]
+        return [fn(scenario, eta_db, i) for i in indices]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+        chunk = max(1, len(indices) // (workers * 4))
+        args = itertools.repeat(scenario), itertools.repeat(eta_db), indices
+        return list(pool.map(fn, *args, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -523,30 +483,22 @@ def _map_tasks(fn, items, workers: int):
 
 
 def measure_false_alarm(
-    scenario: Scenario,
-    eta_db: float | None = None,
-    min_windows: int | None = None,
-    workers: int = 0,
+    scenario: Scenario, eta_db: float, workers: int = 0
 ) -> tuple[int, int]:
     """Count (crossings, windows) over noise-only streams.
 
-    Streams are drawn and scored until at least min_windows windows
-    (default: the scenario's noise_windows) have been seen.  The count
-    is exact: each stream reports how many windows it actually scored.
+    Streams are drawn and scored until at least the scenario's
+    noise_windows windows have been seen.  The count is exact: each
+    stream reports how many windows it actually scored.
     """
-    target = scenario.noise_windows if min_windows is None else int(min_windows)
-    if target < 1:
-        raise ValueError("need at least one noise window")
-    eta = scenario.snr_sweep_db[0] if eta_db is None else float(eta_db)
+    eta = float(eta_db)
     # windows per stream is known only after scoring; probe one stream
     probe_cross, probe_windows = _noise_trial(scenario, eta, 0)
     if probe_windows == 0:
         raise RuntimeError("noise stream produced no scored windows")
-    remaining = target - probe_windows
+    remaining = scenario.noise_windows - probe_windows
     extra = max(0, -(-remaining // probe_windows))
-    results = _map_tasks(
-        _noise_task, [(scenario, eta, 1 + i) for i in range(extra)], workers
-    )
+    results = _map_trials(_noise_trial, scenario, eta, range(1, 1 + extra), workers)
     crossings = probe_cross + sum(c for c, _ in results)
     windows = probe_windows + sum(w for _, w in results)
     return crossings, windows
@@ -569,13 +521,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     det = scenario.detector
     wf = scenario.waveform
     trials = scenario.trials_per_point
-    detections = sum(
-        _map_tasks(
-            _signal_task,
-            [(scenario, eta_db, t) for t in range(trials)],
-            workers,
-        )
-    )
+    detections = sum(_map_trials(_signal_trial, scenario, eta_db, range(trials), workers))
     crossings, windows = measure_false_alarm(scenario, eta_db, workers=workers)
     lam = noncentrality_at_eta(eta_db, wf.preamble_length, wf.num_subbands)
     low, high = wilson_interval(detections, trials)
@@ -854,25 +800,25 @@ def _desk() -> Scenario:
     )
 
 
-def _narrowband() -> Scenario:
-    fs = 500e6
-    l = 1024
+def _paper(
+    name: str, fs: float, l: int, duration: float, p: int, radios: int,
+    seeds: tuple[int, int],
+) -> Scenario:
+    """A paper-scale preset: 80 ns NLOS spread, P_FA = 1e-8, N from the duration."""
     t_b = l / fs
-    duration = 2e-3
     n = round(duration / t_b)
-    # 80 ns delay spread at 2 ns chips
-    p = 40
     spec = WaveformSpec(
         num_subbands=l,
         preamble_length=n,
         symbol_duration_s=t_b,
-        sign_seed=11,
-        symbol_seed=12,
+        sign_seed=seeds[0],
+        symbol_seed=seeds[1],
     )
-    det = DetectionConfig(p=p, p_fa=1e-8)
+    det = DetectionConfig(p=p, p_fa=1e-8, radios=radios)
     sweep = _placed_sweep(det.p_fa, det.p, n, l, (0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
+    radio_bands = (("radio_bands", str(radios)),) if radios > 1 else ()
     return Scenario(
-        name="narrowband",
+        name=name,
         waveform=spec,
         channel_profile=DelaySpreadProfile(
             environment="custom",
@@ -888,48 +834,7 @@ def _narrowband() -> Scenario:
         metadata=(
             ("sample_rate_hz", repr(fs)),
             ("subcarrier_spacing_hz", repr(fs / l)),
-            ("requested_preamble_duration_s", repr(duration)),
-            ("preamble_length_from_duration", str(n)),
-            ("delay_spread_ns", "80.0"),
-        ),
-    )
-
-
-def _wideband(short: bool) -> Scenario:
-    fs = 1280e6
-    l = 4096
-    t_b = l / fs
-    duration = 0.2e-3 if short else 2e-3
-    n = round(duration / t_b)
-    # 80 ns delay spread at 0.78 ns chips, rounded up to a radio multiple
-    p = 104
-    spec = WaveformSpec(
-        num_subbands=l,
-        preamble_length=n,
-        symbol_duration_s=t_b,
-        sign_seed=21,
-        symbol_seed=22,
-    )
-    det = DetectionConfig(p=p, p_fa=1e-8, radios=8)
-    sweep = _placed_sweep(det.p_fa, det.p, n, l, (0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
-    return Scenario(
-        name="wideband_short" if short else "wideband",
-        waveform=spec,
-        channel_profile=DelaySpreadProfile(
-            environment="custom",
-            los=False,
-            target_95pct_duration_ns=80.0,
-            decay_constant_ns=27.0,
-        ),
-        interference=None,
-        snr_sweep_db=sweep,
-        detector=det,
-        trials_per_point=1000,
-        root_seed=20260814,
-        metadata=(
-            ("sample_rate_hz", repr(fs)),
-            ("subcarrier_spacing_hz", repr(fs / l)),
-            ("radio_bands", "8"),
+            *radio_bands,
             ("requested_preamble_duration_s", repr(duration)),
             ("preamble_length_from_duration", str(n)),
             ("delay_spread_ns", "80.0"),
@@ -939,9 +844,13 @@ def _wideband(short: bool) -> Scenario:
 
 _PRESETS = {
     "desk": _desk,
-    "narrowband": _narrowband,
-    "wideband": lambda: _wideband(short=False),
-    "wideband_short": lambda: _wideband(short=True),
+    # 80 ns delay spread at 2 ns chips
+    "narrowband": lambda: _paper("narrowband", 500e6, 1024, 2e-3, 40, 1, (11, 12)),
+    # the same at 0.78 ns chips, rounded up to a multiple of 8 radios
+    "wideband": lambda: _paper("wideband", 1280e6, 4096, 2e-3, 104, 8, (21, 22)),
+    "wideband_short": lambda: _paper(
+        "wideband_short", 1280e6, 4096, 0.2e-3, 104, 8, (21, 22)
+    ),
 }
 
 

@@ -106,14 +106,6 @@ class TestChannelizerConfig:
         assert cfg.preamble_length == N
         assert cfg.fifo_capacity == 2 * N
 
-    def test_rejects_single_output_per_symbol(self, wf):
-        with pytest.raises(ValueError):
-            config_from_waveform(wf, branch_count=P, outputs_per_symbol=1)
-
-    def test_rejects_indivisible_oversampling(self, wf):
-        with pytest.raises(ValueError):
-            config_from_waveform(wf, branch_count=P, outputs_per_symbol=3)
-
     def test_rejects_branch_count_out_of_range(self, wf):
         with pytest.raises(ValueError):
             config_from_waveform(wf, branch_count=0)
@@ -309,12 +301,14 @@ class TestBandPowerTracking:
 class DirectFormSynthesis:
     """The tap-by-tap synthesis the polyphase form replaced, as an oracle.
 
-    Every call loops over all interpolator taps x r and adds each tap's
-    contributions in ascending tap order, as the streaming code once did.
+    Every call loops over all interpolator taps x r, the r = L / hop
+    analysis outputs per symbol, and adds each tap's contributions in
+    ascending tap order, as the streaming code once did.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, r):
         self.cfg = cfg
+        self.r = r
         self.taps = _interp_taps(cfg)
         self.delay = (self.taps.size - 1) // 2
         self.lag = (self.taps.size - 1) // cfg.hop + 1
@@ -326,7 +320,7 @@ class DirectFormSynthesis:
     def __call__(self, z_new):
         l = self.cfg.num_subbands
         d = self.cfg.hop
-        r = self.cfg.outputs_per_symbol
+        r = self.r
         taps, delay, lag = self.taps, self.delay, self.lag
         z = np.concatenate([self.z_tail, z_new], axis=0)
         base_hop = self.tail_hop
@@ -358,9 +352,10 @@ class DirectFormSynthesis:
 
 
 class TestSynthesis:
-    @pytest.mark.parametrize("r", [2, 4, 8])
-    def test_polyphase_matches_direct_form_bitwise(self, wf, r):
-        c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
+    # the cascade runs r = 2 analysis outputs per symbol
+    @pytest.mark.parametrize("r", [2])
+    def test_polyphase_matches_direct_form_bitwise(self, cfg, r):
+        assert cfg.hop * r == L
         x = white(6000, 1.0, 21)
         # silent stretches give hops of exact (signed) zeros
         x[1000:1600] = 0.0
@@ -368,13 +363,13 @@ class TestSynthesis:
         phi = np.linspace(0.5, 2.0, L)
         streams = []
         for steps in ([x.size], [0, 1, 37, 1, 0, 500, 37, 2000, 37, x.size]):
-            st_a = analysis_state(c)
-            st_s = synthesis_state(c)
-            oracle = DirectFormSynthesis(c)
+            st_a = analysis_state(cfg)
+            st_s = synthesis_state(cfg)
+            oracle = DirectFormSynthesis(cfg, r)
             pieces = []
             lo = 0
             for step in steps:
-                values = afb_process(x[lo : lo + step], c, st_a)
+                values = afb_process(x[lo : lo + step], cfg, st_a)
                 lo += step
                 z = _whitened_residues(values, phi, st_s)
                 got = _synthesize(z, st_s)
@@ -384,34 +379,28 @@ class TestSynthesis:
         assert streams[0].size > 5000
         assert streams[1].tobytes() == streams[0].tobytes()
 
-    @pytest.mark.parametrize("r", [2, 4, 8])
-    def test_polyphase_table_is_interpolator_in_tap_order(self, wf, r):
-        c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
-        st = synthesis_state(c)
-        taps = _interp_taps(c)
-        assert st.coeffs.shape == (c.hop, st.lag_hops)
+    @pytest.mark.parametrize("r", [2])
+    def test_polyphase_table_is_interpolator_in_tap_order(self, cfg, r):
+        st = synthesis_state(cfg)
+        taps = _interp_taps(cfg)
+        assert st.coeffs.shape == (L // r, st.lag_hops)
         # coeffs[phase, k] is tap phase + k*hop
         in_tap_order = st.coeffs.T.ravel()
-        assert 0 <= in_tap_order.size - taps.size < c.hop
+        assert 0 <= in_tap_order.size - taps.size < cfg.hop
         assert np.array_equal(in_tap_order[: taps.size], taps)
         assert not np.any(in_tap_order[taps.size :])
         assert st.delay == (taps.size - 1) // 2
 
-    def test_unity_profile_reconstructs_matched_filter(self, wf):
+    def test_unity_profile_reconstructs_matched_filter(self, wf, cfg):
         g = synthesize_pulse(wf).samples
         x = white(40000, 1.0, 7)
-        oracle_full = np.convolve(x, np.conj(g[::-1]))
-        for r, budget in ((2, 0.01), (4, 0.01)):
-            c = config_from_waveform(wf, branch_count=P, outputs_per_symbol=r)
-            values = afb_process(x, c, analysis_state(c))
-            y = whiten_and_synth(values, np.ones(L), synthesis_state(c))
-            oracle = oracle_full[len(g) - 1 : len(g) - 1 + y.size]
-            lo, hi = 2 * len(g), y.size - 2 * len(g)
-            err = np.linalg.norm(y[lo:hi] - oracle[lo:hi]) / np.linalg.norm(
-                oracle[lo:hi]
-            )
-            # measured 1.84e-3 at r=2 and 9.8e-5 at r=4
-            assert err < budget
+        values = afb_process(x, cfg, analysis_state(cfg))
+        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
+        oracle = np.convolve(x, np.conj(g[::-1]))[len(g) - 1 : len(g) - 1 + y.size]
+        lo, hi = 2 * len(g), y.size - 2 * len(g)
+        err = np.linalg.norm(y[lo:hi] - oracle[lo:hi]) / np.linalg.norm(oracle[lo:hi])
+        # measured 1.84e-3
+        assert err < 0.01
 
     def test_delayed_pulse_lands_at_its_offset(self, wf, cfg):
         g = synthesize_pulse(wf).samples
@@ -755,13 +744,16 @@ class TestDetection:
 
     @pytest.mark.parametrize("gap", [1000, 5000])
     def test_digital_silence_scores_finite(self, cfg, gap):
-        # hops whose power window is all zeros have no estimate: they
-        # whiten to zero, and windows whose beta hop is one of them score
-        # 0.0; the anchor grid stays regular
+        # hops whose power window holds a silent hop have no estimate:
+        # they whiten to zero, and windows whose beta hop is one of them
+        # score 0.0; the anchor grid stays regular
         x = white(40000, N0 / L, 45)
         x[20000 : 20000 + gap] = 0.0
         anchors, stats = CascadeDetector(cfg).push(x)
         assert np.all(np.isfinite(stats))
+        # nor is the filter transient after the gap taken for the noise
+        # level: the scores stay at the clean stream's (measured 35.8)
+        assert stats.max() < threshold(1e-6, P)
         assert np.array_equal(anchors, anchors[0] + L * np.arange(anchors.size))
         assert np.count_nonzero(stats == 0.0) > 0
         # streams are causal, so the windows before the gap keep their bytes

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fbmcss import detector
-from fbmcss.channel import EffectiveTaps
 from fbmcss.detector import (
     DetectionConfig,
     cfo_grid,
@@ -349,10 +348,6 @@ class TestNoncentrality:
         theta[0] = math.sqrt(0.64) * 1j
         lam = noncentrality_srb(theta, np.ones(64), 32, 64)
         assert lam == pytest.approx(40.96, rel=1e-12)
-
-    def test_accepts_effective_taps(self):
-        taps = EffectiveTaps(theta=np.array([0.8j, 0.0]), sample_interval_s=1e-6)
-        assert noncentrality_srb(taps, np.ones(64), 32, 64) == pytest.approx(40.96, rel=1e-12)
 
     def test_zero_taps(self):
         assert noncentrality_srb(np.zeros(4), np.ones(8), 32, 8) == 0.0

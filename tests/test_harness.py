@@ -1,7 +1,8 @@
 """Monte Carlo harness contracts on a tiny desk-like scenario: curve bytes
 that do not depend on worker count or resuming, refusal of foreign point
 state, theory inside the Wilson interval, the scenario text format, the
-values a scenario computes (CFO grid, threshold, receiver mode), the CFO
+values a scenario computes (CFO grid, threshold), the noise window count,
+the single-radio receiver as the one-radio case of the radio loop, the CFO
 search, the stream lead against the tracked warm-up and the presets'
 placed SNR sweeps."""
 
@@ -113,9 +114,28 @@ class TestRunCurve:
         with pytest.raises(ValueError, match="corrupt point state in .*trials: expected int"):
             harness.run_curve(tiny(), str(tmp_path))
 
+    def test_false_alarm_windows_reach_the_budget_by_whole_streams(self):
+        sc = tiny()
+        eta = sc.snr_sweep_db[0]
+        _, per_stream = harness._noise_trial(sc, eta, 0)
+        crossings, windows = harness.measure_false_alarm(sc, eta)
+        assert 0 <= crossings <= windows
+        assert sc.noise_windows <= windows < sc.noise_windows + per_stream
+
     def test_theory_inside_wilson_interval(self, tmp_path):
         for point in harness.run_curve(tiny(), str(tmp_path)):
             assert point.wilson_low <= point.p_d_theory <= point.wilson_high
+
+
+class TestWilsonInterval:
+    def test_all_or_no_successes_keep_the_estimate_inside(self):
+        # computed, the bound at 0 of 6 came out 2.8e-17, so a point with
+        # no detections made run_point raise
+        for n in range(1, 200):
+            assert harness.wilson_interval(0, n)[0] == 0.0
+            assert harness.wilson_interval(n, n)[1] == 1.0
+        low, high = harness.wilson_interval(3, 6)
+        assert 0.0 < low < 0.5 < high < 1.0
 
 
 class TestScenarioText:
@@ -150,6 +170,7 @@ class TestScenarioText:
             "detector.j_grid = 1",
             "mode = srb",
             "channel.environment = none",
+            "start_jitter_span = 1",
         ],
     )
     def test_old_keys_refused(self, line):
@@ -194,11 +215,6 @@ class TestComputedValues:
         assert bundle.thr == threshold(det.p_fa, det.p, bundle.grid_hz.size)
         assert bundle.thr > threshold(det.p_fa, det.p)
 
-    @pytest.mark.parametrize("radios", [1, 2])
-    def test_mode_follows_radio_count(self, radios):
-        sc = tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=radios))
-        assert sc.mode == ("mrb" if radios > 1 else "srb")
-
     def test_negative_cfo_range_refused(self):
         with pytest.raises(ValueError, match="cfo_range_hz"):
             tiny(cfo_range_hz=-1.0)
@@ -206,6 +222,25 @@ class TestComputedValues:
     def test_radio_count_must_divide_subbands(self):
         with pytest.raises(ValueError, match="radio count must divide"):
             tiny(detector=DetectionConfig(p=3, p_fa=1e-2, radios=3))
+
+
+class TestOneReceiverPath:
+    @pytest.mark.parametrize("known_noise", [True, False], ids=["calibrated", "tracked"])
+    def test_one_radio_is_a_bare_cascade(self, known_noise):
+        # SRB is the one-radio case of the radio loop: no split, no
+        # rescaling, the bytes of one CascadeDetector over the stream
+        sc = tiny(known_noise=known_noise)
+        bundle = harness._bundle(sc)
+        assert bundle.radio_cfgs == (bundle.cfg,)
+        stream, _ = assemble_stream(bundle.tx, 896, 900, N0 / L, seed=17)
+        anchors, stats = harness._stats_single(stream.samples, bundle, sc, N0)
+        override = np.full(L, N0) if known_noise else None
+        want_anchors, want_stats = CascadeDetector(
+            bundle.cfg, power_override=override
+        ).push(stream.samples)
+        assert stats.size > 0
+        assert anchors.tobytes() == want_anchors.tobytes()
+        assert stats.tobytes() == want_stats.tobytes()
 
 
 class TestSrbMrbPaired:
