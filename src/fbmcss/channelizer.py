@@ -12,10 +12,10 @@ advancing its own state object:
   trailing fifo_capacity hops, one (hops, L) row per hop;
 - `_whitened_residues` scales each band by its conjugate code over phi
   and inverts across bands, one row per hop, for both modes;
-- `_synthesize` resynthesizes a full-rate stream y' with a polyphase
-  interpolator, where each output sums only the lag_hops taps of its
-  own phase;
-- `matched_filter_bank` correlates y' against the preamble comb;
+- `_synthesize` resynthesizes y' with a polyphase interpolator, where
+  each output sums only the lag_hops taps of its own phase, at the
+  residues l < p the comb reads: row l of its block holds y'[fL + l];
+- `matched_filter_bank` correlates those rows against the preamble comb;
 - the Rao score 2*energy/beta is emitted once per L input samples.
 
 `CascadeDetector.push` runs that chain.  Tracked whitening needs a full
@@ -323,7 +323,7 @@ class SynthesisState:
     weights: np.ndarray
     z_tail: np.ndarray
     tail_hop: int
-    next_out: int = 0
+    next_frame: int = 0
 
     @property
     def lag_hops(self) -> int:
@@ -354,58 +354,62 @@ def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
         delay=(interp.size - 1) // 2,
         weights=weights,
         # the history before the stream is silence
-        z_tail=np.zeros((lag - 1, cfg.num_subbands), dtype=np.complex128),
+        z_tail=np.zeros((lag - 1, cfg.branch_count), dtype=np.complex128),
         tail_hop=-(lag - 1),
     )
 
 
 def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
-    """Polyphase interpolation, remodulation and residue sum into y'.
+    """Polyphase interpolation of y' at the residues the comb reads.
 
     z_new rows are L-point inverse DFTs of the gain-scaled band samples,
-    one row per hop.  Output sample m (matched-filter anchor time base)
-    has q = m + delay, newest hop q // hop and phase q % hop; it sums
+    one row per hop.  Returns a (p, frames) block: row l, column f holds
+    y'[fL + l] (matched-filter anchor time base), and a frame is emitted
+    once all p of its residues have their newest hop.  Output m has
+    q = m + delay, newest hop q // hop and phase q % hop; it sums
     coeffs[phase, k] * z[newest - k, m mod L] for k = 0..lag_hops-1, the
-    interpolator taps phase + k*hop of that phase alone (Harris, Dick and
-    Rice, IEEE T-MTT 2003).  Hops before the stream are zero.  Each k is
-    one gather and one multiply-add over all new outputs, real and
-    imaginary parts apart.  Ascending k is ascending tap order, so every
-    output adds its terms in the same order whatever the chunking; and a
-    sum started at +0.0 never turns -0.0, so the +-0.0 terms of the 0.0
-    pad taps change no bit.
+    taps of its own phase (Harris, Dick and Rice, IEEE T-MTT 2003), and
+    only kept outputs are computed (Crochiere and Rabiner, 1983).  With
+    L = 2*hop, residue l keeps one phase and its newest hop moves two a
+    frame, so each k is one strided multiply-add over the block, real and
+    imaginary parts apart.  Hops before the stream are zero.  Ascending k
+    is ascending tap order, so every output adds its terms in the same
+    order whatever the chunking; and a sum started at +0.0 never turns
+    -0.0, so the +-0.0 terms of the 0.0 pad taps change no bit.
     """
     cfg = state.cfg
     l = cfg.num_subbands
     d = cfg.hop
+    p = cfg.branch_count
     delay = state.delay
-    lag = state.lag_hops
-    z = np.concatenate([state.z_tail, z_new], axis=0)
+    z = np.concatenate([state.z_tail, z_new[:, :p]], axis=0)
     base_hop = state.tail_hop
-    end_hop = base_hop + z.shape[0]
-    # emit m while its newest contributing hop floor((m+delay)/hop) exists
-    m_stop = end_hop * d - delay
-    m_start = state.next_out
-    state.z_tail = z[z.shape[0] - (lag - 1) :].copy()
-    state.tail_hop = end_hop - (lag - 1)
-    if m_stop <= m_start:
-        return np.zeros(0, dtype=np.complex128)
-    m = np.arange(m_start, m_stop)
-    q = m + delay
-    phase = q % d
-    # flat index of z[newest - k, m mod L] at k = 0, stepped back a row per k
-    flat = (q // d - base_hop) * l + m % l
-    z_re = np.ascontiguousarray(z.real).ravel()
-    z_im = np.ascontiguousarray(z.imag).ravel()
-    out = np.zeros(m.size, dtype=np.complex128)
-    re, im = out.real, out.imag  # views: the sums land in out
-    for k in range(lag):
-        coeff = state.coeffs[:, k][phase]
-        re += coeff * z_re[flat]
-        im += coeff * z_im[flat]
-        flat -= l
-    out = _stable_product(out, state.phase[m % (2 * l)], conjugate_b=True)
-    state.next_out = m_stop
-    return out
+    f_start = state.next_frame
+    # frame f is whole once its last residue fL + p - 1 has its newest hop
+    f_stop = max(f_start, ((base_hop + z.shape[0]) * d - delay - p) // l + 1)
+    # keep every hop the oldest unemitted frame reaches
+    keep = (f_stop * l + delay) // d - (state.lag_hops - 1)
+    state.z_tail = z[keep - base_hop :].copy()
+    state.tail_hop = keep
+    state.next_frame = f_stop
+    frames = f_stop - f_start
+    if frames == 0:
+        return np.zeros((p, 0), dtype=np.complex128)
+    residues = np.arange(p)
+    skew = (residues + delay) // d - delay // d
+    # planes[:, l, j] is z[j + skew[l], l], real then imaginary: one
+    # slice per k then serves every residue
+    rows = np.arange(z.shape[0] - skew[-1]) + skew[:, None]
+    planes = np.stack([z.real[rows, residues[:, None]], z.imag[rows, residues[:, None]]])
+    taps = state.coeffs[(residues + delay) % d].T[:, :, None]  # (lag, p, 1)
+    s = 2 * f_start + delay // d - base_hop  # plane column of frame f_start, k = 0
+    acc = np.zeros((2, p, frames))
+    for k, tap in enumerate(taps):
+        acc += tap * planes[:, :, s - k : s - k + 2 * frames : 2]
+    y = np.empty((p, frames), dtype=np.complex128)
+    y.real, y.imag = acc
+    ramp = residues[:, None] + l * ((f_start + np.arange(frames)) % 2)  # (fL + l) mod 2L
+    return _stable_product(y, state.phase[ramp], conjugate_b=True)
 
 
 def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
@@ -437,7 +441,6 @@ def _whitened_residues(
 
 @dataclass
 class MatchedFilterState:
-    cfg: ChannelizerConfig
     conj_symbols: np.ndarray
     tail: np.ndarray
     next_anchor: int = 0
@@ -445,40 +448,37 @@ class MatchedFilterState:
 
 def mf_state(cfg: ChannelizerConfig) -> MatchedFilterState:
     return MatchedFilterState(
-        cfg=cfg,
         conj_symbols=np.conj(cfg.preamble_symbols),
-        tail=np.zeros(0, dtype=np.complex128),
+        tail=np.zeros((cfg.branch_count, 0), dtype=np.complex128),
     )
 
 
-def matched_filter_bank(
-    yprime, cfg: ChannelizerConfig, state: MatchedFilterState
-) -> np.ndarray:
-    """Correlate y' against the preamble comb; one column per L samples.
+_MF_BLOCK_ELEMENTS = 1 << 14  # comb products per block: 256 KiB, to stay in cache
 
-    Branch l of column j is sum_n conj(s[n]) y'[jL + l + nL]: the inner
-    product of the window anchored at jL with column l of the dense
-    observation matrix.  Returns a (branch_count, windows) block; the
-    anchor of the first returned column is state.next_anchor*L before
-    the call.
+
+def matched_filter_bank(
+    block: np.ndarray, cfg: ChannelizerConfig, state: MatchedFilterState
+) -> np.ndarray:
+    """Correlate _synthesize's residue block against the preamble comb.
+
+    Branch l of window j is sum_n conj(s[n]) y'[jL + l + nL], a window
+    of residue row l: the inner product of the window anchored at jL
+    with column l of the dense observation matrix.  Returns a
+    (branch_count, windows) block; the anchor of the first returned
+    column is state.next_anchor*L before the call.  Each window sums its
+    own products, so taking windows in blocks changes no bit.
     """
-    y = np.asarray(yprime, dtype=np.complex128)
-    l = cfg.num_subbands
     n = cfg.preamble_length
-    p = cfg.branch_count
-    data = np.concatenate([state.tail, y]) if state.tail.size else y
-    reach = (n - 1) * l + p  # window span per anchor
-    n_windows = (data.size - reach) // l + 1 if data.size >= reach else 0
-    if n_windows <= 0:
-        state.tail = data.copy()
-        return np.zeros((p, 0), dtype=np.complex128)
-    comb = np.arange(n) * l
-    anchors_rel = np.arange(n_windows) * l
-    out = np.empty((p, n_windows), dtype=np.complex128)
-    for branch in range(p):
-        gathered = data[anchors_rel[:, None] + branch + comb[None, :]]
-        out[branch] = _stable_product(gathered, state.conj_symbols).sum(axis=1)
-    state.tail = data[n_windows * l :].copy()
+    conj = state.conj_symbols
+    data = np.concatenate([state.tail, block], axis=1)
+    n_windows = max(0, data.shape[1] - n + 1)
+    out = np.empty((cfg.branch_count, n_windows), dtype=np.complex128)
+    step = max(1, _MF_BLOCK_ELEMENTS // n)
+    for lo in range(0, n_windows, step):
+        windows = sliding_window_view(data[:, lo : lo + step + n - 1], n, axis=1)
+        for branch, win in enumerate(windows):
+            out[branch, lo : lo + step] = _stable_product(win, conj).sum(axis=1)
+    state.tail = data[:, n_windows:].copy()
     state.next_anchor += n_windows
     return out
 
@@ -488,16 +488,16 @@ class CascadeDetector:
 
     One instance per stream; single writer.  push runs the stage chain
     on plain arrays: afb_process, the power profile phi,
-    _whitened_residues, _synthesize, matched_filter_bank, then the
-    score 2*energy/beta.  power_override pins phi to one (L,) profile
-    for every hop (calibrated mode), and scoring starts at anchor zero.
-    Otherwise track_power gives each hop the band power of the
-    fifo_capacity hops before it, and scoring starts at
-    tracked_first_anchor(cfg), the one home of that warm-up rule.  A
-    window's beta is that of the newest hop it reaches, which is always
-    one whitened in the same push; a window whose newest hop has no
-    estimate scores 0.0.  Non-finite samples are refused before any
-    stage state moves.
+    _whitened_residues, _synthesize (residues l < p of y' only),
+    matched_filter_bank, then the score 2*energy/beta.  power_override
+    pins phi to one (L,) profile for every hop (calibrated mode), and
+    scoring starts at anchor zero.  Otherwise track_power gives each hop
+    the band power of the fifo_capacity hops before it, and scoring
+    starts at tracked_first_anchor(cfg), the one home of that warm-up
+    rule.  A window's beta is that of the newest hop it reaches, which
+    is always one whitened in the same push; a window whose newest hop
+    has no estimate scores 0.0.  Non-finite samples are refused before
+    any stage state moves.
     """
 
     def __init__(self, cfg: ChannelizerConfig, power_override=None):

@@ -91,15 +91,6 @@ def tracked_profiles(x, cfg, cuts=()):
     return np.concatenate(rows)
 
 
-def whiten_and_synth(values, phi, state):
-    """y' for one analysis block: whitening, then synthesis, full rate.
-
-    The oracle stream the detector scores, like DirectFormSynthesis is
-    the oracle of _synthesize.
-    """
-    return _synthesize(_whitened_residues(values, phi, state), state)
-
-
 class TestChannelizerConfig:
     def test_derived_sizes(self, cfg):
         assert cfg.hop == L // 2
@@ -351,33 +342,55 @@ class DirectFormSynthesis:
         return _stable_product(out, ramp, conjugate_b=True)
 
 
+def full_rate(values, phi, cfg):
+    """y' for one analysis block at full rate: whitening, then the oracle."""
+    return DirectFormSynthesis(cfg, 2)(_whitened_residues(values, phi, synthesis_state(cfg)))
+
+
+def residue_block(y, p):
+    """The rows l < p of y' frame by frame: row l, column f is y'[fL + l].
+
+    Only frames whose p residues all lie in y are cut, which is the block
+    _synthesize emits and matched_filter_bank reads.
+    """
+    frames = max(0, (y.size - p) // L + 1)
+    return np.stack([y[l::L][:frames] for l in range(p)])
+
+
 class TestSynthesis:
     # the cascade runs r = 2 analysis outputs per symbol
     @pytest.mark.parametrize("r", [2])
-    def test_polyphase_matches_direct_form_bitwise(self, cfg, r):
+    def test_polyphase_matches_direct_form_bitwise(self, wf, cfg, r):
+        # the residue block is y' at m mod L < p bit for bit, and each call
+        # emits exactly the frames whose p residues y' holds so far; short
+        # pushes hold frames back over several calls
         assert cfg.hop * r == L
         x = white(6000, 1.0, 21)
         # silent stretches give hops of exact (signed) zeros
         x[1000:1600] = 0.0
         x[3000:3600] = complex(-0.0, -0.0)
         phi = np.linspace(0.5, 2.0, L)
-        streams = []
-        for steps in ([x.size], [0, 1, 37, 1, 0, 500, 37, 2000, 37, x.size]):
+        cuts = ([x.size], [0, 1, 37, 1, 0, 500, 37, 2000, 37, x.size], [0, 1] + [37] * 80)
+        for steps in cuts:
+            # whitening and the full-rate oracle do not depend on p
             st_a = analysis_state(cfg)
-            st_s = synthesis_state(cfg)
+            st_w = synthesis_state(cfg)
             oracle = DirectFormSynthesis(cfg, r)
-            pieces = []
+            zs, ys = [], []
             lo = 0
             for step in steps:
-                values = afb_process(x[lo : lo + step], cfg, st_a)
+                zs.append(_whitened_residues(afb_process(x[lo : lo + step], cfg, st_a), phi, st_w))
+                ys.append(oracle(zs[-1]))
                 lo += step
-                z = _whitened_residues(values, phi, st_s)
-                got = _synthesize(z, st_s)
-                assert got.tobytes() == oracle(z).tobytes()
-                pieces.append(got)
-            streams.append(np.concatenate(pieces))
-        assert streams[0].size > 5000
-        assert streams[1].tobytes() == streams[0].tobytes()
+            for p in (1, P, L - 1):
+                st_s = synthesis_state(config_from_waveform(wf, branch_count=p))
+                blocks = [_synthesize(z, st_s) for z in zs]
+                for i in range(len(steps)):
+                    y = np.concatenate(ys[: i + 1])
+                    block = np.concatenate(blocks[: i + 1], axis=1)
+                    assert block.tobytes() == residue_block(y, p).tobytes()
+                    assert block.shape == (p, max(0, (y.size - p) // L + 1))
+                assert block.shape[1] > 100
 
     @pytest.mark.parametrize("r", [2])
     def test_polyphase_table_is_interpolator_in_tap_order(self, cfg, r):
@@ -395,7 +408,7 @@ class TestSynthesis:
         g = synthesize_pulse(wf).samples
         x = white(40000, 1.0, 7)
         values = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
+        y = full_rate(values, np.ones(L), cfg)
         oracle = np.convolve(x, np.conj(g[::-1]))[len(g) - 1 : len(g) - 1 + y.size]
         lo, hi = 2 * len(g), y.size - 2 * len(g)
         err = np.linalg.norm(y[lo:hi] - oracle[lo:hi]) / np.linalg.norm(oracle[lo:hi])
@@ -408,7 +421,7 @@ class TestSynthesis:
         x = np.zeros(6000, dtype=np.complex128)
         x[k0 : k0 + g.size] = g
         values = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
+        y = full_rate(values, np.ones(L), cfg)
         oracle = np.convolve(x, np.conj(g[::-1]))[g.size - 1 : g.size - 1 + y.size]
         err = np.linalg.norm(y - oracle) / np.linalg.norm(oracle)
         assert err < 0.01
@@ -420,7 +433,7 @@ class TestSynthesis:
     def test_whitened_noise_spectrum_flat(self, cfg):
         x = white(1 << 19, 1.0, 3)
         values = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
+        y = full_rate(values, np.ones(L), cfg)
         th = cfg.prototype.taps.size
         interior = y[4 * th : -(4 * th)]
         seg = 256
@@ -451,7 +464,7 @@ class TestSynthesis:
 
         def line_over_quiet_db(phi):
             values = afb_process(x, cfg, analysis_state(cfg))
-            y = whiten_and_synth(values, phi, synthesis_state(cfg))
+            y = full_rate(values, phi, cfg)
             nfft = 1 << 17
             spec = np.abs(np.fft.fft(y[2 * th : 2 * th + nfft])) ** 2
             freqs = np.fft.fftfreq(nfft)
@@ -472,20 +485,17 @@ class TestSynthesis:
     def test_streaming_matches_batch_bitwise(self, cfg):
         x = white(30000, 1.0, 17)
         phi = np.full(L, 1.5)
-        whole_values = afb_process(x, cfg, analysis_state(cfg))
-        whole = whiten_and_synth(whole_values, phi, synthesis_state(cfg))
+        whole = residue_block(full_rate(afb_process(x, cfg, analysis_state(cfg)), phi, cfg), P)
         st_a = analysis_state(cfg)
         st_s = synthesis_state(cfg)
         pieces = []
         lo = 0
-        for step in (100, 1, 5000, 0, 12345, 77, 3000):
+        for step in (100, 1, 5000, 0, 12345, 77, 3000, x.size):
             values = afb_process(x[lo : lo + step], cfg, st_a)
-            pieces.append(whiten_and_synth(values, phi, st_s))
+            pieces.append(_synthesize(_whitened_residues(values, phi, st_s), st_s))
             lo += step
-        values = afb_process(x[lo:], cfg, st_a)
-        pieces.append(whiten_and_synth(values, phi, st_s))
-        chunked = np.concatenate(pieces)
-        assert chunked.size == whole.size
+        chunked = np.concatenate(pieces, axis=1)
+        assert chunked.shape == whole.shape
         assert np.array_equal(chunked, whole)
 
 
@@ -496,7 +506,7 @@ class TestMatchedFilterBank:
         for col in range(P):
             window = np.zeros(N * L + 4 * L, dtype=np.complex128)
             window[: N * L] = dense[:, col]
-            branches = matched_filter_bank(window, cfg, mf_state(cfg))
+            branches = matched_filter_bank(residue_block(window, P), cfg, mf_state(cfg))
             assert branches[col, 0] == pytest.approx(N, abs=1e-9)
             others = np.delete(branches[:, 0], col)
             assert np.max(np.abs(others)) < 1e-9
@@ -506,7 +516,7 @@ class TestMatchedFilterBank:
         dense = build_data_matrix(spec)
         rng = np.random.default_rng(3)
         y = rng.standard_normal((N + 6) * L) + 1j * rng.standard_normal((N + 6) * L)
-        branches = matched_filter_bank(y, cfg, mf_state(cfg))
+        branches = matched_filter_bank(residue_block(y, P), cfg, mf_state(cfg))
         for j in range(branches.shape[1]):
             ref = dense.conj().T @ y[j * L : j * L + N * L]
             scale = np.max(np.abs(ref))
@@ -514,21 +524,22 @@ class TestMatchedFilterBank:
 
     def test_zero_input_zero_output(self, cfg):
         branches = matched_filter_bank(
-            np.zeros(3 * N * L, dtype=np.complex128), cfg, mf_state(cfg)
+            residue_block(np.zeros(3 * N * L, dtype=np.complex128), P), cfg, mf_state(cfg)
         )
         assert branches.shape[0] == P
         assert np.all(branches == 0.0)
 
     def test_streaming_matches_batch_bitwise(self, cfg):
-        y = white(9000, 1.0, 19)
-        whole = matched_filter_bank(y, cfg, mf_state(cfg))
+        block = residue_block(white(9000, 1.0, 19), P)
+        whole = matched_filter_bank(block, cfg, mf_state(cfg))
         state = mf_state(cfg)
         pieces = []
         lo = 0
-        for step in (3, 500, 0, 2048, 129, 4000):
-            pieces.append(matched_filter_bank(y[lo : lo + step], cfg, state))
+        # frames: fewer than one window, none, then several windows at once
+        for step in (3, 31, 0, 128, 1, 250):
+            pieces.append(matched_filter_bank(block[:, lo : lo + step], cfg, state))
             lo += step
-        pieces.append(matched_filter_bank(y[lo:], cfg, state))
+        pieces.append(matched_filter_bank(block[:, lo:], cfg, state))
         chunked = np.concatenate(pieces, axis=1)
         assert np.array_equal(chunked, whole)
 
@@ -539,8 +550,8 @@ class TestMatchedFilterBank:
         phi = np.full(L, 1.5 * N0)
         anchors, stats = CascadeDetector(cfg, power_override=phi).push(x)
         values = afb_process(x, cfg, analysis_state(cfg))
-        y = whiten_and_synth(values, phi, synthesis_state(cfg))
-        branches = matched_filter_bank(y, cfg, mf_state(cfg))
+        block = residue_block(full_rate(values, phi, cfg), P)
+        branches = matched_filter_bank(block, cfg, mf_state(cfg))
         energies = (branches.real**2 + branches.imag**2).sum(axis=0)
         assert np.array_equal(anchors, np.arange(branches.shape[1]) * L)
         assert np.array_equal(stats, 2.0 * energies / compute_beta(phi, N, L))
@@ -589,8 +600,8 @@ class TestStatisticEquivalence:
     def gaps_against_reference(self, cfg, dense, phi):
         x = white(30000, N0 / L, 23)
         values = afb_process(x, cfg, analysis_state(cfg))
-        scored = whiten_and_synth(values, phi, synthesis_state(cfg))
-        plain = whiten_and_synth(values, np.ones(L), synthesis_state(cfg))
+        scored = residue_block(full_rate(values, phi, cfg), P)
+        plain = full_rate(values, np.ones(L), cfg)
         beta = compute_beta(phi, N, L)
         branches = matched_filter_bank(scored, cfg, mf_state(cfg))
         scores = 2.0 / beta * (branches.real**2 + branches.imag**2).sum(axis=0)
@@ -701,6 +712,25 @@ class TestDetection:
         assert np.concatenate([a for a, _ in pieces]).tobytes() == whole_anchors.tobytes()
         assert np.concatenate([s for _, s in pieces]).tobytes() == whole_stats.tobytes()
 
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_most_branches_chunked_equals_one_shot_bitwise(self, wf, tracked):
+        # with p = L - 1 a frame waits for its newest residue longer than
+        # any other p, so short pushes hold the most frames back
+        c = config_from_waveform(wf, branch_count=L - 1)
+        x = white(8000, N0 / L, 49)
+        override = None if tracked else np.full(L, N0)
+        whole_anchors, whole_stats = CascadeDetector(c, power_override=override).push(x)
+        det = CascadeDetector(c, power_override=override)
+        steps = [0, 1, 37, 1, 0, 37] + [37] * 60 + [x.size]
+        pieces = []
+        lo = 0
+        for step in steps:
+            pieces.append(det.push(x[lo : lo + step]))
+            lo += step
+        assert whole_stats.size > 100
+        assert np.concatenate([a for a, _ in pieces]).tobytes() == whole_anchors.tobytes()
+        assert np.concatenate([s for _, s in pieces]).tobytes() == whole_stats.tobytes()
+
     @pytest.mark.parametrize("first", [7, 1000])
     @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
     def test_refilled_buffer_equals_copies_bitwise(self, cfg, tracked, first):
@@ -760,6 +790,18 @@ class TestDetection:
         clean_anchors, clean_stats = CascadeDetector(cfg).push(x[:20000])
         assert clean_stats.tobytes() == stats[: clean_stats.size].tobytes()
         assert clean_anchors.tobytes() == anchors[: clean_anchors.size].tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="no hop of a gap shorter than the analysis prototype is silent, "
+        "so track_power takes the filter transient after it for the noise level",
+    )
+    def test_short_digital_silence_stays_below_threshold(self, cfg):
+        # measured: up to 215.8 with a 100-sample gap, 35.8 without it
+        x = white(40000, N0 / L, 45)
+        x[20000:20100] = 0.0
+        _, stats = CascadeDetector(cfg).push(x)
+        assert stats.max() < threshold(1e-6, P)
 
     def test_tracked_scoring_waits_for_estimator_fill(self, cfg):
         x = white(8000, N0 / L, 33)
