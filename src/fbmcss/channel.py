@@ -179,8 +179,9 @@ def effective_taps(
     """theta[l] = sum_i c_i * rho(l*T_s - tau_i), l = 0..p-1, as (p,) complex.
 
     rho is the composite-pulse autocorrelation with lag zero at its
-    center sample; fractional delays are handled by linear
-    interpolation between rho samples.
+    center sample.  Lags and delays snap to the nearest rho sample, the
+    grid apply_channel puts each tap on, so theta describes the channel
+    the stream actually passes through.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -188,14 +189,13 @@ def effective_taps(
         raise ValueError("sample_interval_s must be positive")
     vals = rho.samples
     center = (len(vals) - 1) // 2
-    rho_step = 1.0 / rho.sample_rate_hz
-    # lag of each (l, tap) pair in rho-sample units, relative to center
-    l_grid = np.arange(p)[:, None] * sample_interval_s
-    pos = center + (l_grid - channel.delays_s[None, :]) / rho_step
-    base = np.arange(len(vals))
-    re = np.interp(pos.ravel(), base, vals.real, left=0.0, right=0.0)
-    im = np.interp(pos.ravel(), base, vals.imag, left=0.0, right=0.0)
-    samples = (re + 1j * im).reshape(p, -1)
+    fs = rho.sample_rate_hz
+    lags = np.rint(np.arange(p) * sample_interval_s * fs).astype(np.int64)
+    shifts = np.rint(channel.delays_s * fs).astype(np.int64)
+    # rho index of each (l, tap) pair; lags outside rho's support are zero
+    pos = center + lags[:, None] - shifts[None, :]
+    inside = (pos >= 0) & (pos < len(vals))
+    samples = np.where(inside, vals[np.clip(pos, 0, len(vals) - 1)], 0.0)
     return samples @ channel.gains
 
 

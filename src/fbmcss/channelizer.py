@@ -1,12 +1,15 @@
 """Streaming cascade filter-bank detection path.
 
-The detector is one chain of stage functions on plain arrays, each
+A ChannelizerConfig holds the waveform the cascade detects (one
+waveform.WaveformConfig: prototype, code and preamble) and its branch
+count p; every size the stages use is derived from those two.  The
+detector is one chain of stage functions on plain arrays, each
 advancing its own state object:
 
 - `afb_process` splits the input into L overlapping subcarrier bands
   with a polyphase analysis bank built on the transmit prototype (so
   analysis doubles as per-band pulse matched filtering) and returns the
-  new (bands, hops) block;
+  new (hops, bands) block;
 - the band noise power phi is either pinned to one (L,) profile
   (calibrated mode) or estimated per hop by `track_power` from the
   trailing fifo_capacity hops, one (hops, L) row per hop;
@@ -38,20 +41,19 @@ chunked (streaming) processing and one-shot processing bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import compute_beta
-from .waveform import PrototypeFilter, SpreadingCode, WaveformConfig, pulse_origin_index
+from .waveform import WaveformConfig, pulse_origin_index
 
 __all__ = [
     "CascadeDetector",
     "ChannelizerConfig",
     "afb_process",
     "analysis_state",
-    "config_from_waveform",
     "matched_filter_bank",
     "mf_state",
     "power_state",
@@ -66,39 +68,30 @@ _INTERP_ATTEN_DB = 80.0
 
 @dataclass(frozen=True, eq=False)
 class ChannelizerConfig:
-    """Static description of one cascade instance (one radio band).
+    """One cascade instance (one radio band): a waveform and p branches.
 
-    num_subbands is L, even: analysis outputs appear every hop = L/2
-    input samples.  branch_count is the number of matched-filter
-    branches p (delay hypotheses).
+    The waveform's num_subbands is L, even here: analysis outputs
+    appear every hop = L/2 input samples.  branch_count is the number
+    of matched-filter branches p (delay hypotheses).
     """
 
-    num_subbands: int
-    prototype: PrototypeFilter
-    code: SpreadingCode
-    preamble_symbols: np.ndarray = field(repr=False)
+    waveform: WaveformConfig
     branch_count: int
 
     def __post_init__(self):
-        s = np.asarray(self.preamble_symbols, dtype=np.complex128)
-        object.__setattr__(self, "preamble_symbols", s)
         l = self.num_subbands
-        if l < 2 or l % 2 != 0:
-            raise ValueError("num_subbands must be a positive even number")
+        if l % 2 != 0:
+            raise ValueError("num_subbands must be even")
         if not 1 <= self.branch_count < l:
             raise ValueError("branch_count must satisfy 1 <= p < num_subbands")
-        if self.prototype.samples_per_symbol != l:
-            raise ValueError("prototype rate must equal num_subbands")
-        if len(self.code) != l:
-            raise ValueError("code length must equal num_subbands")
-        if s.ndim != 1 or s.size < 1:
-            raise ValueError("preamble_symbols must be a nonempty vector")
-        if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
-            raise ValueError("preamble symbols must be unit modulus")
         # the band mainlobe, (1 + rolloff)/(2L) each side, must end inside
         # the interpolator passband, 0.9 of the decimated Nyquist 1/L
-        if 1.0 + self.prototype.rolloff > 1.8:
+        if 1.0 + self.waveform.prototype.rolloff > 1.8:
             raise ValueError("oversampling too low for the prototype rolloff")
+
+    @property
+    def num_subbands(self) -> int:
+        return self.waveform.num_subbands
 
     @property
     def hop(self) -> int:
@@ -106,21 +99,11 @@ class ChannelizerConfig:
 
     @property
     def preamble_length(self) -> int:
-        return int(self.preamble_symbols.size)
+        return self.waveform.preamble_length
 
     @property
     def fifo_capacity(self) -> int:
         return 2 * self.preamble_length
-
-
-def config_from_waveform(waveform: WaveformConfig, branch_count: int) -> ChannelizerConfig:
-    return ChannelizerConfig(
-        num_subbands=waveform.num_subbands,
-        prototype=waveform.prototype,
-        code=waveform.code,
-        preamble_symbols=waveform.preamble_symbols,
-        branch_count=branch_count,
-    )
 
 
 def _band_power(power: np.ndarray) -> np.ndarray:
@@ -192,7 +175,7 @@ def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
     return AnalysisState(
         cfg=cfg,
         phase=_phase_table(cfg.num_subbands),
-        taps=cfg.prototype.taps.astype(np.float64),
+        taps=cfg.waveform.prototype.taps.astype(np.float64),
         tail=np.zeros(0, dtype=np.complex128),
     )
 
@@ -204,7 +187,7 @@ _AFB_BLOCK_ELEMENTS = 1 << 21
 def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
     """Advance the analysis bank; returns the newly completed hops.
 
-    The result is a (bands, hops) block.  Column i holds all L band
+    The result is a (hops, bands) block.  Row i holds all L band
     samples for the window starting at input sample i*hop: band k
     equals the input correlated against the prototype modulated to
     subcarrier k, i.e. filtered and decimated.
@@ -221,7 +204,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     n_hops = (data.size - taps.size) // d + 1 if data.size >= taps.size else 0
     if n_hops <= 0:
         state.tail = data.copy()
-        return np.zeros((l, 0), dtype=np.complex128)
+        return np.zeros((0, l), dtype=np.complex128)
     offset = start_hop * d
     v = _stable_product(data, state.phase[(offset + np.arange(data.size)) % (2 * l)])
     out = np.empty((n_hops, l), dtype=np.complex128)
@@ -242,7 +225,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     # copies: a view would alias the caller's buffer or pin the whole block
     state.tail = data[n_hops * d :].copy()
     state.next_hop = start_hop + n_hops
-    return np.ascontiguousarray(out.T)
+    return out
 
 
 @dataclass
@@ -264,7 +247,7 @@ def power_state(cfg: ChannelizerConfig) -> PowerState:
 def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -> np.ndarray:
     """Per-hop band PSD from the trailing power window, strictly causal.
 
-    values is the (bands, hops) block afb_process just returned.  Hop h
+    values is the (hops, L) block afb_process just returned.  Hop h
     gets the _band_power of hops [h - fifo_capacity, h), so the result
     has one (L,) row per hop.  Hops before the first full window have
     no estimate and get +inf, as _band_power gives a silent window, and
@@ -273,8 +256,8 @@ def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -
     l = cfg.num_subbands
     cap = cfg.fifo_capacity
     start = state.next_hop
-    hops = values.shape[1]
-    power = (values.real**2 + values.imag**2).T  # (hops, L)
+    hops = values.shape[0]
+    power = values.real**2 + values.imag**2
     series = np.concatenate([state.tail, power], axis=0)
     # silent[b] - silent[a] counts the silent hops in series[a:b]; past
     # one, the filter transient would pass for the noise level
@@ -332,13 +315,10 @@ class SynthesisState:
 
 
 def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
-    nu = (2.0 * np.arange(cfg.num_subbands) - cfg.num_subbands - 1.0) / (
-        2.0 * cfg.num_subbands
-    )
-    center = pulse_origin_index(cfg.prototype)
-    weights = _stable_product(
-        np.exp(2j * np.pi * nu * center), cfg.code.gains, conjugate_b=True
-    )
+    wf = cfg.waveform
+    nu = wf.normalized_frequencies()
+    center = pulse_origin_index(wf.prototype)
+    weights = _stable_product(np.exp(2j * np.pi * nu * center), wf.code.gains, conjugate_b=True)
     # polyphase table: coeffs[phase, k] = interp[phase + k*hop], with the
     # phases one tap short padded by 0.0
     interp = _interp_taps(cfg)
@@ -427,7 +407,7 @@ def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
 def _whitened_residues(
     values: np.ndarray, phi: np.ndarray, state: SynthesisState
 ) -> np.ndarray:
-    """Scale (bands, hops) samples by conj-code over phi, invert across bands.
+    """Scale (hops, bands) samples by conj-code over phi, invert across bands.
 
     phi is one profile (L,) for every hop or one row per hop (hops, L);
     broadcasting covers both.  Returns one row per hop, the input of
@@ -435,7 +415,7 @@ def _whitened_residues(
     filtering by the composite pulse; a band with phi = +inf is zeroed.
     """
     gains = _stable_quotient(state.weights, phi)
-    scaled = _stable_product(values.T, gains)
+    scaled = _stable_product(values, gains)
     return np.fft.ifft(scaled, axis=1) * state.cfg.num_subbands
 
 
@@ -448,7 +428,7 @@ class MatchedFilterState:
 
 def mf_state(cfg: ChannelizerConfig) -> MatchedFilterState:
     return MatchedFilterState(
-        conj_symbols=np.conj(cfg.preamble_symbols),
+        conj_symbols=np.conj(cfg.waveform.preamble_symbols),
         tail=np.zeros((cfg.branch_count, 0), dtype=np.complex128),
     )
 

@@ -41,12 +41,7 @@ from .channel import (
     generate_multipath,
     noise_psd_from_eta,
 )
-from .channelizer import (
-    CascadeDetector,
-    ChannelizerConfig,
-    config_from_waveform,
-    tracked_first_anchor,
-)
+from .channelizer import CascadeDetector, ChannelizerConfig, tracked_first_anchor
 from .detector import (
     DetectionConfig,
     cfo_grid,
@@ -58,16 +53,15 @@ from .detector import (
 )
 from .numerics import ComplexSignal
 from .waveform import (
+    SpreadingCode,
     WaveformConfig,
+    WaveformSpec,
     composite_pulse,
     design_prototype_filter,
     generate_preamble,
-    make_spreading_code,
-    make_waveform_config,
 )
 
 __all__ = [
-    "WaveformSpec",
     "Scenario",
     "CurvePoint",
     "wilson_interval",
@@ -88,42 +82,6 @@ _Z95 = 1.959963984540054
 # stream tags for the per-trial seed key
 _TAG_SIGNAL = 1
 _TAG_NOISE = 2
-
-
-@dataclass(frozen=True)
-class WaveformSpec:
-    """Recipe for a waveform: scalars only, so it travels in config files.
-
-    build() expands it through the standard constructors; two equal
-    specs always build bit-identical waveforms.
-    """
-
-    num_subbands: int
-    preamble_length: int
-    symbol_duration_s: float
-    span_symbols: int = 8
-    rolloff: float = 0.25
-    sign_seed: int = 0
-    symbol_seed: int = 0
-
-    def build(self) -> WaveformConfig:
-        return make_waveform_config(
-            self.num_subbands,
-            self.preamble_length,
-            self.symbol_duration_s,
-            span_symbols=self.span_symbols,
-            rolloff=self.rolloff,
-            sign_seed=self.sign_seed,
-            symbol_seed=self.symbol_seed,
-        )
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.num_subbands / self.symbol_duration_s
-
-    @property
-    def preamble_duration_s(self) -> float:
-        return self.preamble_length * self.symbol_duration_s
 
 
 @dataclass(frozen=True)
@@ -255,15 +213,13 @@ def _radio_waveform(wf: WaveformConfig, radios: int, m: int) -> WaveformConfig:
     based, so that phase never matters.
     """
     k = wf.num_subbands // radios
-    signs = wf.code.signs[m * k : (m + 1) * k]
     return WaveformConfig(
         num_subbands=k,
-        preamble_length=wf.preamble_length,
         symbol_duration_s=wf.symbol_duration_s,
         prototype=design_prototype_filter(
             k, wf.prototype.span_symbols, wf.prototype.rolloff
         ),
-        code=make_spreading_code(k, signs=signs),
+        code=SpreadingCode(wf.code.signs[m * k : (m + 1) * k]),
         preamble_symbols=wf.preamble_symbols,
     )
 
@@ -274,13 +230,11 @@ def _bundle(scenario: Scenario) -> _Bundle:
         return cached
     wf = scenario.waveform.build()
     det = scenario.detector
-    cfg = config_from_waveform(wf, branch_count=det.p)
+    cfg = ChannelizerConfig(wf, det.p)
     radio_cfgs = (cfg,)
     if det.radios > 1:
         radio_cfgs = tuple(
-            config_from_waveform(
-                _radio_waveform(wf, det.radios, m), branch_count=det.taps_per_radio
-            )
+            ChannelizerConfig(_radio_waveform(wf, det.radios, m), det.taps_per_radio)
             for m in range(det.radios)
         )
     warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
@@ -596,10 +550,7 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     fingerprint = _fingerprint(scenario)
-    _write_text(
-        os.path.join(out_dir, f"{scenario.name}.scenario.txt"),
-        scenario_to_text(scenario),
-    )
+    save_scenario(scenario, os.path.join(out_dir, f"{scenario.name}.scenario.txt"))
     points: list[CurvePoint] = []
     for index, eta_db in enumerate(scenario.snr_sweep_db):
         state_path = _point_state_path(out_dir, scenario, index)

@@ -1,5 +1,12 @@
 """Multicarrier spread-spectrum preamble synthesis.
 
+One chain describes the waveform: a WaveformSpec (scalars only, the
+recipe a scenario file carries) builds a WaveformConfig (prototype,
+code and preamble symbols), and a channelizer.ChannelizerConfig holds
+that config with its branch count for one cascade.  Every other value
+(sample rate, preamble length, gains, band centers) is derived, not
+stored.
+
 The transmitted pulse is a sum of L subcarrier copies of one prototype
 filter h, with unit-modulus spreading gains gamma_k = j^k * zeta_k.
 Subcarrier k sits at (k - (L+1)/2) / T_b, so the L bands tile the whole
@@ -21,11 +28,11 @@ __all__ = [
     "PrototypeFilter",
     "SpreadingCode",
     "WaveformConfig",
+    "WaveformSpec",
     "LinearModelSpec",
     "design_prototype_filter",
     "make_spreading_code",
     "make_preamble_symbols",
-    "make_waveform_config",
     "synthesize_pulse",
     "composite_pulse",
     "generate_preamble",
@@ -69,26 +76,25 @@ class PrototypeFilter:
 
 @dataclass(frozen=True)
 class SpreadingCode:
-    """Per-subcarrier gains gamma_k = j^k * zeta_k with zeta_k = +/-1."""
+    """Per-subcarrier signs zeta_k = +/-1; the gains add the j^k stagger."""
 
-    gains: np.ndarray
     signs: np.ndarray
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=np.complex128)
         signs = np.asarray(self.signs, dtype=np.int64)
-        object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "signs", signs)
-        if gains.size != signs.size or gains.size == 0:
-            raise ValueError("gains and signs must be nonempty, equal length")
+        if signs.ndim != 1 or signs.size == 0:
+            raise ValueError("signs must be a nonempty vector")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +/-1")
-        expected = _J_CYCLE[np.arange(gains.size) % 4] * signs
-        if not np.array_equal(gains, expected):
-            raise ValueError("gains must equal j^k * signs exactly")
+
+    @property
+    def gains(self) -> np.ndarray:
+        """gamma_k = j^k * zeta_k."""
+        return _J_CYCLE[np.arange(self.signs.size) % 4] * self.signs
 
     def __len__(self) -> int:
-        return int(self.gains.size)
+        return int(self.signs.size)
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,6 @@ class WaveformConfig:
     """
 
     num_subbands: int
-    preamble_length: int
     symbol_duration_s: float
     prototype: PrototypeFilter
     code: SpreadingCode
@@ -112,28 +117,24 @@ class WaveformConfig:
         object.__setattr__(self, "preamble_symbols", s)
         if self.num_subbands < 2:
             raise ValueError("num_subbands must be >= 2")
-        if self.preamble_length < 1:
-            raise ValueError("preamble_length must be >= 1")
+        if s.ndim != 1 or s.size == 0:
+            raise ValueError("preamble_symbols must be a nonempty vector")
         if not self.symbol_duration_s > 0.0:
             raise ValueError("symbol_duration_s must be positive")
         if self.prototype.samples_per_symbol != self.num_subbands:
             raise ValueError("prototype rate must equal num_subbands")
         if len(self.code) != self.num_subbands:
             raise ValueError("code length must equal num_subbands")
-        if s.size != self.preamble_length:
-            raise ValueError("preamble_symbols length must equal preamble_length")
         if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
             raise ValueError("preamble symbols must be unit modulus")
 
     @property
+    def preamble_length(self) -> int:
+        return int(self.preamble_symbols.size)
+
+    @property
     def sample_rate_hz(self) -> float:
         return self.num_subbands / self.symbol_duration_s
-
-    def subcarrier_frequencies_hz(self) -> np.ndarray:
-        """Center of band k at (k - (L+1)/2)/T_b for k = 0..L-1."""
-        l = self.num_subbands
-        k = np.arange(l, dtype=np.float64)
-        return (k - (l + 1) / 2.0) / self.symbol_duration_s
 
     def normalized_frequencies(self) -> np.ndarray:
         """Band centers in cycles per sample: (2k - L - 1) / (2L)."""
@@ -282,23 +283,12 @@ def design_prototype_filter(
     )
 
 
-def make_spreading_code(
-    num_subbands: int, sign_seed: int = 0, signs: np.ndarray | None = None
-) -> SpreadingCode:
-    """Draw the +/-1 sequence zeta_k and attach the j^k quadrature stagger.
-
-    Pass `signs` to pin an explicit sequence instead of drawing one.
-    """
+def make_spreading_code(num_subbands: int, sign_seed: int = 0) -> SpreadingCode:
+    """Draw the seeded +/-1 sequence zeta_k."""
     if num_subbands < 2:
         raise ValueError("num_subbands must be >= 2")
-    if signs is None:
-        rng = np.random.default_rng(sign_seed)
-        signs = 2 * rng.integers(0, 2, size=num_subbands) - 1
-    signs = np.asarray(signs, dtype=np.int64)
-    if signs.size != num_subbands:
-        raise ValueError("signs length must equal num_subbands")
-    gains = _J_CYCLE[np.arange(num_subbands) % 4] * signs
-    return SpreadingCode(gains=gains, signs=signs)
+    rng = np.random.default_rng(sign_seed)
+    return SpreadingCode(2 * rng.integers(0, 2, size=num_subbands) - 1)
 
 
 def make_preamble_symbols(length: int, symbol_seed: int = 0) -> np.ndarray:
@@ -310,24 +300,40 @@ def make_preamble_symbols(length: int, symbol_seed: int = 0) -> np.ndarray:
     return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))
 
 
-def make_waveform_config(
-    num_subbands: int,
-    preamble_length: int,
-    symbol_duration_s: float,
-    span_symbols: int = 8,
-    rolloff: float = 0.25,
-    sign_seed: int = 0,
-    symbol_seed: int = 0,
-) -> WaveformConfig:
-    """Convenience builder wiring the default prototype, code, and symbols."""
-    return WaveformConfig(
-        num_subbands=num_subbands,
-        preamble_length=preamble_length,
-        symbol_duration_s=symbol_duration_s,
-        prototype=design_prototype_filter(num_subbands, span_symbols, rolloff),
-        code=make_spreading_code(num_subbands, sign_seed),
-        preamble_symbols=make_preamble_symbols(preamble_length, symbol_seed),
-    )
+@dataclass(frozen=True)
+class WaveformSpec:
+    """Recipe for a waveform: scalars only, so it travels in config files.
+
+    build() expands it through the standard constructors; two equal
+    specs always build bit-identical waveforms.
+    """
+
+    num_subbands: int
+    preamble_length: int
+    symbol_duration_s: float
+    span_symbols: int = 8
+    rolloff: float = 0.25
+    sign_seed: int = 0
+    symbol_seed: int = 0
+
+    def build(self) -> WaveformConfig:
+        return WaveformConfig(
+            num_subbands=self.num_subbands,
+            symbol_duration_s=self.symbol_duration_s,
+            prototype=design_prototype_filter(
+                self.num_subbands, self.span_symbols, self.rolloff
+            ),
+            code=make_spreading_code(self.num_subbands, self.sign_seed),
+            preamble_symbols=make_preamble_symbols(self.preamble_length, self.symbol_seed),
+        )
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.num_subbands / self.symbol_duration_s
+
+    @property
+    def preamble_duration_s(self) -> float:
+        return self.preamble_length * self.symbol_duration_s
 
 
 def pulse_origin_index(prototype: PrototypeFilter) -> int:

@@ -19,7 +19,7 @@ from fbmcss.channel import (
     profile_preset,
 )
 from fbmcss.numerics import ComplexSignal
-from fbmcss.waveform import composite_pulse, make_waveform_config, synthesize_pulse
+from fbmcss.waveform import WaveformSpec, composite_pulse, synthesize_pulse
 
 L = 16
 DURATION_REL = 0.15  # ensemble-mean 95% duration vs the profile target
@@ -27,7 +27,7 @@ DURATION_REL = 0.15  # ensemble-mean 95% duration vs the profile target
 
 @pytest.fixture(scope="module")
 def config():
-    return make_waveform_config(L, 4, L / 31.25e6, sign_seed=1, symbol_seed=2)
+    return WaveformSpec(L, 4, L / 31.25e6, sign_seed=1, symbol_seed=2).build()
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +88,18 @@ class TestEffectiveTaps:
 
     def test_two_tap_against_convolution_oracle(self, config, rho):
         # brute force: run the pulse through the channel, then the
-        # matched filter, and read theta off the output samples
+        # matched filter, and read theta off the output samples; a
+        # fractional delay lands on the sample apply_channel rounds it to
         t_s = 1.0 / rho.sample_rate_hz
         gains = np.array([0.8 - 0.3j, -0.5 + 0.6j])
-        channel = ChannelRealization(np.array([0.0, 3.0 * t_s]), gains)
         g = synthesize_pulse(config)
-        received = apply_channel(g, channel)
-        mf_out = np.convolve(received.samples, np.conj(g.samples[::-1]))
         origin = len(g) - 1  # zero lag of the matched-filter output
-        taps = effective_taps(channel, rho, p=8, sample_interval_s=t_s)
-        assert np.max(np.abs(taps - mf_out[origin : origin + 8])) < 1e-6
+        for delay in (3.0, 2.56):
+            channel = ChannelRealization(np.array([0.0, delay * t_s]), gains)
+            received = apply_channel(g, channel)
+            mf_out = np.convolve(received.samples, np.conj(g.samples[::-1]))
+            taps = effective_taps(channel, rho, p=8, sample_interval_s=t_s)
+            assert np.max(np.abs(taps - mf_out[origin : origin + 8])) < 1e-6
 
 
 class TestApplyChannel:

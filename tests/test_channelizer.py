@@ -12,6 +12,7 @@ from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
     _POWER_FLOOR_RATIO,
     CascadeDetector,
+    ChannelizerConfig,
     _band_power,
     _interp_taps,
     _phase_table,
@@ -20,7 +21,6 @@ from fbmcss.channelizer import (
     _whitened_residues,
     afb_process,
     analysis_state,
-    config_from_waveform,
     matched_filter_bank,
     mf_state,
     power_state,
@@ -31,9 +31,9 @@ from fbmcss.detector import compute_beta, rao_low_complexity, threshold
 from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import (
     LinearModelSpec,
+    WaveformSpec,
     build_data_matrix,
     generate_preamble,
-    make_waveform_config,
     synthesize_pulse,
 )
 
@@ -46,27 +46,23 @@ FS = 500e6
 
 @pytest.fixture(scope="module")
 def wf():
-    return make_waveform_config(
-        L, N, symbol_duration_s=L / FS, sign_seed=3, symbol_seed=5
-    )
+    return WaveformSpec(L, N, symbol_duration_s=L / FS, sign_seed=3, symbol_seed=5).build()
 
 
 @pytest.fixture(scope="module")
 def cfg(wf):
-    return config_from_waveform(wf, branch_count=P)
+    return ChannelizerConfig(wf, P)
 
 
 @pytest.fixture(scope="module")
 def wf_big():
     # wide FIFO window (capacity 2048) for the estimator examples
-    return make_waveform_config(
-        8, 1024, symbol_duration_s=8 / FS, sign_seed=1, symbol_seed=1
-    )
+    return WaveformSpec(8, 1024, symbol_duration_s=8 / FS, sign_seed=1, symbol_seed=1).build()
 
 
 @pytest.fixture(scope="module")
 def cfg_big(wf_big):
-    return config_from_waveform(wf_big, branch_count=4)
+    return ChannelizerConfig(wf_big, 4)
 
 
 def white(n, var, seed):
@@ -92,24 +88,31 @@ def tracked_profiles(x, cfg, cuts=()):
 
 
 class TestChannelizerConfig:
-    def test_derived_sizes(self, cfg):
+    def test_derived_sizes(self, wf, cfg):
+        assert cfg.waveform is wf
+        assert cfg.num_subbands == L
         assert cfg.hop == L // 2
         assert cfg.preamble_length == N
         assert cfg.fifo_capacity == 2 * N
 
     def test_rejects_branch_count_out_of_range(self, wf):
         with pytest.raises(ValueError):
-            config_from_waveform(wf, branch_count=0)
+            ChannelizerConfig(wf, 0)
         with pytest.raises(ValueError):
-            config_from_waveform(wf, branch_count=L)
+            ChannelizerConfig(wf, L)
+
+    def test_rejects_odd_subband_count(self):
+        odd = WaveformSpec(L - 1, N, symbol_duration_s=(L - 1) / FS).build()
+        with pytest.raises(ValueError, match="even"):
+            ChannelizerConfig(odd, P)
 
     def test_rejects_rolloff_wider_than_interpolator_passband(self):
-        wide = make_waveform_config(L, N, symbol_duration_s=L / FS, rolloff=0.85)
+        wide = WaveformSpec(L, N, symbol_duration_s=L / FS, rolloff=0.85).build()
         with pytest.raises(ValueError):
-            config_from_waveform(wide, branch_count=P)
+            ChannelizerConfig(wide, P)
 
     def test_state_config_identity_enforced(self, wf, cfg):
-        other = config_from_waveform(wf, branch_count=P)
+        other = ChannelizerConfig(wf, P)
         state = analysis_state(other)
         with pytest.raises(ValueError):
             afb_process(np.zeros(64, dtype=np.complex128), cfg, state)
@@ -117,21 +120,21 @@ class TestChannelizerConfig:
 
 class TestAnalysisBank:
     def test_impulse_gives_modulated_prototype_polyphase(self, wf, cfg):
-        h = cfg.prototype.taps
+        h = cfg.waveform.prototype.taps
         d = cfg.hop
         nu = wf.normalized_frequencies()
         for n1 in (700, 955):
             x = np.zeros(4000, dtype=np.complex128)
             x[n1] = 1.0
             values = afb_process(x, cfg, analysis_state(cfg))
-            for m in range(values.shape[1]):
+            for m in range(values.shape[0]):
                 idx = n1 - m * d
                 tap = h[idx] if 0 <= idx < h.size else 0.0
                 ref = tap * np.exp(-2j * np.pi * nu * n1)
-                assert np.max(np.abs(values[:, m] - ref)) < 1e-11
+                assert np.max(np.abs(values[m] - ref)) < 1e-11
 
     def test_tone_concentrates_in_its_band(self, wf, cfg):
-        h = cfg.prototype.taps
+        h = cfg.waveform.prototype.taps
         nu = wf.normalized_frequencies()
         j_band = 5
         n = 6000
@@ -139,7 +142,7 @@ class TestAnalysisBank:
         values = afb_process(tone, cfg, analysis_state(cfg))
         last = (n - h.size) // cfg.hop
         mid = np.arange(2, last - 2)
-        mags = np.abs(values[:, mid])
+        mags = np.abs(values[mid].T)
         # steady-state magnitudes are hop invariant for a pure tone
         assert np.max(mags.max(axis=1) - mags.min(axis=1)) < 1e-11
         grid = np.arange(h.size)
@@ -156,7 +159,7 @@ class TestAnalysisBank:
             np.array([np.sum(h * np.exp(-2j * np.pi * fi * grid)) for fi in f])
         )
         dc = np.abs(np.sum(h))
-        edge = (1.0 + cfg.prototype.rolloff) / (2 * L)
+        edge = (1.0 + cfg.waveform.prototype.rolloff) / (2 * L)
         stopband = response[f >= edge].max() / dc
         leakage = closed[j_band + 1] / closed[j_band]
         assert leakage < 0.01
@@ -182,7 +185,7 @@ class TestAnalysisBank:
             pieces.append(afb_process(x[lo : lo + step], cfg, state))
             lo += step
         pieces.append(afb_process(x[lo:], cfg, state))
-        chunked = np.concatenate(pieces, axis=1)
+        chunked = np.concatenate(pieces, axis=0)
         assert chunked.shape == whole.shape
         assert np.array_equal(chunked, whole)
 
@@ -192,19 +195,19 @@ class TestAnalysisBank:
         span_slots = -(-state.taps.size // L)
         whole = afb_process(x, cfg, state)
         # the one-shot call folds more hops than one block holds
-        assert whole.shape[1] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
+        assert whole.shape[0] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
         for step in (37, 5000):
             st = analysis_state(cfg)
             pieces = [
                 afb_process(x[lo : lo + step], cfg, st)
                 for lo in range(0, x.size, step)
             ]
-            assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+            assert np.concatenate(pieces, axis=0).tobytes() == whole.tobytes()
 
     def test_short_input_defers_output(self, cfg):
         state = analysis_state(cfg)
         values = afb_process(np.zeros(16, dtype=np.complex128), cfg, state)
-        assert values.shape == (L, 0)
+        assert values.shape == (0, L)
         assert state.tail.size == 16
 
 
@@ -222,7 +225,7 @@ class TestBandPowerTracking:
         assert np.max(np.abs(phi - n0)) / n0 < 0.05
 
     def test_strong_tone_dominates_one_band(self, wf_big, cfg_big):
-        h = cfg_big.prototype.taps
+        h = cfg_big.waveform.prototype.taps
         nu = wf_big.normalized_frequencies()
         j_band = 5
         rng = np.random.default_rng(4)
@@ -233,7 +236,7 @@ class TestBandPowerTracking:
         amp = np.sqrt(1000.0 / 8) / np.abs(np.sum(h))
         x = x + amp * np.exp(2j * np.pi * nu[j_band] * np.arange(ns))
         values = afb_process(x, cfg_big, analysis_state(cfg_big))
-        phi = _band_power(power_of(values[:, -cfg_big.fifo_capacity :]))
+        phi = _band_power(power_of(values[-cfg_big.fifo_capacity :].T))
         ratio = phi[j_band] / np.median(np.delete(phi, j_band))
         assert 900.0 < ratio < 1100.0
 
@@ -274,9 +277,9 @@ class TestBandPowerTracking:
         rows = tracked_profiles(x, cfg)
         values = afb_process(x, cfg, analysis_state(cfg))
         cap = cfg.fifo_capacity
-        assert rows.shape == (values.shape[1], L) and rows.shape[0] > cap + 10
+        assert rows.shape == (values.shape[0], L) and rows.shape[0] > cap + 10
         for hop in range(cap, rows.shape[0]):
-            block = values[:, hop - cap : hop]
+            block = values[hop - cap : hop].T
             assert np.array_equal(rows[hop], _band_power(power_of(block)))
 
     @given(cuts=st.lists(st.integers(min_value=0, max_value=500), max_size=6))
@@ -383,7 +386,7 @@ class TestSynthesis:
                 ys.append(oracle(zs[-1]))
                 lo += step
             for p in (1, P, L - 1):
-                st_s = synthesis_state(config_from_waveform(wf, branch_count=p))
+                st_s = synthesis_state(ChannelizerConfig(wf, p))
                 blocks = [_synthesize(z, st_s) for z in zs]
                 for i in range(len(steps)):
                     y = np.concatenate(ys[: i + 1])
@@ -434,7 +437,7 @@ class TestSynthesis:
         x = white(1 << 19, 1.0, 3)
         values = afb_process(x, cfg, analysis_state(cfg))
         y = full_rate(values, np.ones(L), cfg)
-        th = cfg.prototype.taps.size
+        th = cfg.waveform.prototype.taps.size
         interior = y[4 * th : -(4 * th)]
         seg = 256
         frames = interior[: interior.size // seg * seg].reshape(-1, seg)
@@ -450,7 +453,7 @@ class TestSynthesis:
         # interferer from the skirts of its neighbours; band-meter readings
         # saturate near -8 dB because adjacent bands legitimately occupy
         # part of the notched slot through the rolloff transition
-        h = cfg.prototype.taps
+        h = cfg.waveform.prototype.taps
         th = h.size
         nu = wf.normalized_frequencies()
         j_band = 9
@@ -702,7 +705,7 @@ class TestDetection:
     def test_single_window_pushes_equal_one_shot_bitwise(self, wf, tracked):
         # with p >= 8 branches, a push that completes one window must add
         # the branch energies in the order a many-window push does
-        c = config_from_waveform(wf, branch_count=8)
+        c = ChannelizerConfig(wf, 8)
         x = white(6000, N0 / L, 47)
         override = None if tracked else np.full(L, N0)
         whole_anchors, whole_stats = CascadeDetector(c, power_override=override).push(x)
@@ -716,7 +719,7 @@ class TestDetection:
     def test_most_branches_chunked_equals_one_shot_bitwise(self, wf, tracked):
         # with p = L - 1 a frame waits for its newest residue longer than
         # any other p, so short pushes hold the most frames back
-        c = config_from_waveform(wf, branch_count=L - 1)
+        c = ChannelizerConfig(wf, L - 1)
         x = white(8000, N0 / L, 49)
         override = None if tracked else np.full(L, N0)
         whole_anchors, whole_stats = CascadeDetector(c, power_override=override).push(x)

@@ -3,11 +3,13 @@ that do not depend on worker count or resuming, refusal of foreign point
 state, theory inside the Wilson interval, the scenario text format, the
 values a scenario computes (CFO grid, threshold), the noise window count,
 the single-radio receiver as the one-radio case of the radio loop, the CFO
-search, the stream lead against the tracked warm-up and the presets'
-placed SNR sweeps."""
+search, the stream lead against the tracked warm-up, and the presets'
+placed SNR sweeps and fingerprints."""
 
 import dataclasses
+import functools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +123,14 @@ class TestRunCurve:
         crossings, windows = harness.measure_false_alarm(sc, eta)
         assert 0 <= crossings <= windows
         assert sc.noise_windows <= windows < sc.noise_windows + per_stream
+
+    def test_scenario_file_loads_back(self, tmp_path):
+        sc = tiny()
+        curve_bytes(sc, tmp_path)
+        assert harness.load_scenario(str(tmp_path / "tiny.scenario.txt")) == sc
+        missing = str(tmp_path / "absent.scenario.txt")
+        with pytest.raises(OSError, match=re.escape(missing)):
+            harness.load_scenario(missing)
 
     def test_theory_inside_wilson_interval(self, tmp_path):
         for point in harness.run_curve(tiny(), str(tmp_path)):
@@ -306,10 +316,28 @@ PRESET_SWEEPS = {
 }
 
 
+# each preset's scenario text hashed; point state files carry it, so a
+# moved value or renamed key makes finished points foreign
+PRESET_FINGERPRINTS = {
+    "desk": "b36b5ff829226e69",
+    "narrowband": "8825842594b2a700",
+    "wideband": "baf2fc5292a585c9",
+    "wideband_short": "fc620439d717fdde",
+}
+
+
+# a preset places its sweep when built; scenarios are frozen, so share one
+cached_preset = functools.cache(harness.preset)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
     def test_placed_sweep(self, name):
-        assert harness.preset(name).snr_sweep_db == PRESET_SWEEPS[name]
+        assert cached_preset(name).snr_sweep_db == PRESET_SWEEPS[name]
+
+    @pytest.mark.parametrize("name", sorted(PRESET_FINGERPRINTS))
+    def test_fingerprint(self, name):
+        assert harness._fingerprint(cached_preset(name)) == PRESET_FINGERPRINTS[name]
 
     @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
     def test_placement_probes_stay_near_the_answer(self, name, monkeypatch):

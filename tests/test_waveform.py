@@ -14,13 +14,13 @@ from fbmcss.waveform import (
     PrototypeFilter,
     SpreadingCode,
     WaveformConfig,
+    WaveformSpec,
     build_data_matrix,
     composite_pulse,
     design_prototype_filter,
     generate_preamble,
     make_preamble_symbols,
     make_spreading_code,
-    make_waveform_config,
     pulse_origin_index,
     synthesize_pulse,
 )
@@ -45,7 +45,6 @@ def prototype():
 def config(prototype):
     return WaveformConfig(
         num_subbands=L,
-        preamble_length=4,
         symbol_duration_s=1.0,
         prototype=prototype,
         code=make_spreading_code(L, sign_seed=1),
@@ -92,7 +91,7 @@ class TestPrototypeFilter:
 
 class TestSpreadingCode:
     def test_jk_pattern(self):
-        code = make_spreading_code(4, signs=np.array([1, 1, 1, 1]))
+        code = SpreadingCode(np.array([1, 1, 1, 1]))
         assert np.array_equal(code.gains, np.array([1, 1j, -1, -1j]))
 
     def test_seed_determinism(self):
@@ -106,10 +105,13 @@ class TestSpreadingCode:
         assert np.all(np.abs(code.gains) == 1.0)
 
     def test_invalid_gains_rejected(self):
+        # the gains are computed from the signs, so only bad signs remain
         with pytest.raises(ValueError):
-            SpreadingCode(gains=np.ones(4, dtype=complex), signs=np.ones(4))
+            SpreadingCode(np.array([1, 2]))
         with pytest.raises(ValueError):
-            SpreadingCode(gains=np.array([1, 1j]), signs=np.array([1, 2]))
+            SpreadingCode(np.zeros(0))
+        with pytest.raises(ValueError):
+            SpreadingCode(np.ones((2, 2)))
 
 
 class TestSynthesizePulse:
@@ -117,7 +119,7 @@ class TestSynthesizePulse:
         # definition at tiny size: g[n] = sum_k gamma_k h[n] e^{j2pi f_k n T_s}
         # (span is a multiple of 4, so the center-referenced phases used
         # internally coincide with this form exactly)
-        cfg = make_waveform_config(2, 1, 1.0, sign_seed=5)
+        cfg = WaveformSpec(2, 1, 1.0, sign_seed=5).build()
         h = cfg.prototype.taps
         n = np.arange(h.size)
         t_s = cfg.symbol_duration_s / 2
@@ -135,7 +137,7 @@ class TestSynthesizePulse:
 
     def test_energy_other_spans(self):
         for span in (8, 16):
-            cfg = make_waveform_config(32, 1, 1.0, span_symbols=span)
+            cfg = WaveformSpec(32, 1, 1.0, span_symbols=span).build()
             g = synthesize_pulse(cfg)
             expected = 32 * cfg.prototype.energy
             assert abs(g.energy() - expected) <= ENERGY_REL * expected
@@ -146,7 +148,6 @@ class TestSynthesizePulse:
         for seed in (0, 1, 2):
             cfg = WaveformConfig(
                 num_subbands=L,
-                preamble_length=1,
                 symbol_duration_s=1.0,
                 prototype=prototype,
                 code=make_spreading_code(L, sign_seed=seed),
@@ -175,7 +176,6 @@ class TestCompositePulse:
         for seed in (0, 1, 2, 3, 4):
             cfg = WaveformConfig(
                 num_subbands=L,
-                preamble_length=1,
                 symbol_duration_s=1.0,
                 prototype=prototype,
                 code=make_spreading_code(L, sign_seed=seed),
@@ -205,7 +205,6 @@ class TestGeneratePreamble:
     def test_single_symbol_equals_pulse(self, prototype):
         cfg = WaveformConfig(
             num_subbands=L,
-            preamble_length=1,
             symbol_duration_s=1.0,
             prototype=prototype,
             code=make_spreading_code(L, sign_seed=1),
@@ -218,7 +217,6 @@ class TestGeneratePreamble:
     def test_two_symbol_superposition(self, prototype):
         cfg = WaveformConfig(
             num_subbands=L,
-            preamble_length=2,
             symbol_duration_s=1.0,
             prototype=prototype,
             code=make_spreading_code(L, sign_seed=1),
@@ -241,7 +239,6 @@ class TestGeneratePreamble:
         # cross terms between shifted pulses vanish by the Nyquist property
         cfg = WaveformConfig(
             num_subbands=L,
-            preamble_length=32,
             symbol_duration_s=1.0,
             prototype=prototype,
             code=make_spreading_code(L, sign_seed=1),
@@ -295,7 +292,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WaveformConfig(
                 num_subbands=32,  # prototype is at 64 samples/symbol
-                preamble_length=1,
                 symbol_duration_s=1.0,
                 prototype=prototype,
                 code=make_spreading_code(32, sign_seed=1),
@@ -303,18 +299,21 @@ class TestConfigValidation:
             )
 
     def test_non_unit_symbols_rejected(self, prototype):
-        with pytest.raises(ValueError):
-            WaveformConfig(
-                num_subbands=L,
-                preamble_length=1,
-                symbol_duration_s=1.0,
-                prototype=prototype,
-                code=make_spreading_code(L, sign_seed=1),
-                preamble_symbols=np.array([0.5 + 0j]),
-            )
+        # and no symbols at all, or not one vector of them
+        for bad in ([0.5 + 0j], np.zeros(0), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                WaveformConfig(
+                    num_subbands=L,
+                    symbol_duration_s=1.0,
+                    prototype=prototype,
+                    code=make_spreading_code(L, sign_seed=1),
+                    preamble_symbols=np.asarray(bad),
+                )
 
     def test_subcarrier_frequencies(self, config):
-        f = config.subcarrier_frequencies_hz()
-        assert f.size == L
-        assert f[0] == (0 - (L + 1) / 2) / 1.0
-        assert np.allclose(np.diff(f), 1.0)  # spacing = symbol rate
+        nu = config.normalized_frequencies()
+        assert nu.size == L
+        assert nu[0] == (0 - (L + 1) / 2) / L
+        # in hertz, band k sits at (k - (L+1)/2)/T_b: spacing = symbol rate
+        f = nu * config.sample_rate_hz
+        assert np.allclose(np.diff(f), 1.0 / config.symbol_duration_s)
