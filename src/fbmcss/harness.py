@@ -112,29 +112,23 @@ class Scenario:
     cfo_range_hz: float = 0.0
     known_noise: bool = True
     noise_windows: int = 4096
-    metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
             self, "snr_sweep_db", tuple(float(v) for v in self.snr_sweep_db)
         )
-        object.__setattr__(
-            self,
-            "metadata",
-            tuple((str(k), str(v)) for k, v in self.metadata),
-        )
         if not self.name or any(c in self.name for c in "/\\ \t\n"):
             raise ValueError("name must be a nonempty token usable in file names")
-        if not self.snr_sweep_db:
-            raise ValueError("snr_sweep_db must be nonempty")
+        if not self.snr_sweep_db or not all(map(math.isfinite, self.snr_sweep_db)):
+            raise ValueError("snr_sweep_db must be nonempty and finite")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.noise_windows < 1:
             raise ValueError("noise_windows must be >= 1")
         if self.waveform.num_subbands % self.detector.radios != 0:
             raise ValueError("radio count must divide the subband count")
-        if not self.cfo_range_hz >= 0.0:
-            raise ValueError("cfo_range_hz must be >= 0")
+        if not 0.0 <= self.cfo_range_hz < math.inf:
+            raise ValueError("cfo_range_hz must be >= 0 and finite")
 
     @property
     def cfo_grid_hz(self) -> np.ndarray:
@@ -584,10 +578,10 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
 #
 # Scenario files and point state files hold one "key = value" line per
 # dataclass field, in field order.  A key is the field's path
-# (name, waveform.rolloff, channel_profile.los), a section that is None
-# writes no lines, and metadata pairs are written as meta.<name>.  The
-# reader takes keys, defaults, required fields and value types from the
-# same dataclass fields, so the format has no other definition.
+# (name, waveform.rolloff, channel_profile.los) and a section that is
+# None writes no lines.  The reader takes keys, defaults, required
+# fields and value types from the same dataclass fields, so the format
+# has no other definition.
 
 
 def _field_types(cls) -> list[tuple[dataclasses.Field, type, bool]]:
@@ -633,9 +627,7 @@ def _field_items(obj, prefix: str = ""):
     """(key, value text) for every field of a dataclass, in field order."""
     for f, hint, _ in _field_types(type(obj)):
         value = getattr(obj, f.name)
-        if f.name == "metadata":
-            yield from ((f"meta.{k}", v) for k, v in value)
-        elif dataclasses.is_dataclass(hint):
+        if dataclasses.is_dataclass(hint):
             if value is not None:
                 yield from _field_items(value, f"{prefix}{f.name}.")
         else:
@@ -647,10 +639,7 @@ def _read_fields(cls, pairs: dict[str, str], prefix: str = "") -> dict:
     kwargs = {}
     for f, hint, optional in _field_types(cls):
         key = prefix + f.name
-        if f.name == "metadata":
-            meta = [k for k in pairs if k.startswith("meta.")]
-            kwargs[f.name] = tuple((k[len("meta.") :], pairs.pop(k)) for k in meta)
-        elif dataclasses.is_dataclass(hint):
+        if dataclasses.is_dataclass(hint):
             if optional and not any(k.startswith(key + ".") for k in pairs):
                 kwargs[f.name] = None
             else:
@@ -743,11 +732,6 @@ def _desk() -> Scenario:
         trials_per_point=600,
         root_seed=20260814,
         noise_windows=8192,
-        metadata=(
-            ("sample_rate_hz", repr(fs)),
-            ("subcarrier_spacing_hz", repr(fs / spec.num_subbands)),
-            ("preamble_duration_s", repr(spec.preamble_duration_s)),
-        ),
     )
 
 
@@ -767,12 +751,10 @@ def _paper(
     )
     det = DetectionConfig(p=p, p_fa=1e-8, radios=radios)
     sweep = _placed_sweep(det.p_fa, det.p, n, l, (0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
-    radio_bands = (("radio_bands", str(radios)),) if radios > 1 else ()
     return Scenario(
         name=name,
         waveform=spec,
         channel_profile=DelaySpreadProfile(
-            environment="custom",
             los=False,
             target_95pct_duration_ns=80.0,
             decay_constant_ns=27.0,
@@ -782,14 +764,6 @@ def _paper(
         detector=det,
         trials_per_point=1000,
         root_seed=20260814,
-        metadata=(
-            ("sample_rate_hz", repr(fs)),
-            ("subcarrier_spacing_hz", repr(fs / l)),
-            *radio_bands,
-            ("requested_preamble_duration_s", repr(duration)),
-            ("preamble_length_from_duration", str(n)),
-            ("delay_spread_ns", "80.0"),
-        ),
     )
 
 
@@ -814,9 +788,9 @@ def preset(name: str) -> Scenario:
 
     desk is sized to run a full curve on one core in minutes.  The
     narrowband and wideband presets describe the paper-scale systems;
-    building one only computes its configuration (including the
-    preamble length implied by the requested duration, recorded in the
-    metadata), it does not start any trials.
+    building one only computes its configuration (the preamble length
+    is the requested duration in whole symbols, and the sweep is
+    placed from theory), it does not start any trials.
     """
     try:
         factory = _PRESETS[name]

@@ -9,6 +9,7 @@ existing captures should stay readable if the metadata is lost.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -30,9 +31,10 @@ def iq_write(signal, path: str | os.PathLike, sample_rate_hz: float | None = Non
     """Write samples plus a sidecar holding the sample rate.
 
     Accepts a ComplexSignal or a plain array; an explicit sample_rate_hz
-    wins over the signal's own tag.  float32 quantization is part of the
-    format, so a write/read round trip is exact only for values already
-    representable in single precision.
+    wins over the signal's own tag, and with neither no sidecar is left
+    next to the file.  float32 quantization is part of the format, so a
+    write/read round trip is exact only for values already representable
+    in single precision.
     """
     samples = np.asarray(getattr(signal, "samples", signal), dtype=np.complex128)
     if samples.ndim != 1:
@@ -45,7 +47,11 @@ def iq_write(signal, path: str | os.PathLike, sample_rate_hz: float | None = Non
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, samples.size))
         fh.write(interleaved.tobytes())
-    if sample_rate_hz is not None:
+    if sample_rate_hz is None:
+        # a sidecar from an earlier write would lend this file its rate
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar_path(path))
+    else:
         with open(sidecar_path(path), "w", encoding="utf-8") as fh:
             fh.write(f"sample_rate_hz = {float(sample_rate_hz)!r}\n")
 

@@ -36,14 +36,11 @@ class ComplexSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
 
 
 def gaussian_q(x: float) -> float:

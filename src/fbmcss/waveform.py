@@ -69,10 +69,6 @@ class PrototypeFilter:
         if not np.allclose(taps, taps[::-1], rtol=0.0, atol=1e-12):
             raise ValueError("taps must be symmetric")
 
-    @property
-    def energy(self) -> float:
-        return float(np.sum(self.taps * self.taps))
-
 
 @dataclass(frozen=True)
 class SpreadingCode:

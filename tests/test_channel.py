@@ -13,10 +13,8 @@ from fbmcss.channel import (
     apply_channel,
     assemble_stream,
     effective_taps,
-    energy_duration_95,
     generate_multipath,
     noise_psd_from_eta,
-    profile_preset,
 )
 from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import WaveformSpec, composite_pulse, synthesize_pulse
@@ -35,13 +33,24 @@ def rho(config):
     return composite_pulse(config)
 
 
+def energy_duration_95(channel: ChannelRealization) -> float:
+    """Span (seconds) of the shortest leading prefix holding 95% energy."""
+    order = np.argsort(channel.delays_s)
+    powers = np.abs(channel.gains[order]) ** 2
+    cum = np.cumsum(powers)
+    k = int(np.searchsorted(cum, 0.95 * cum[-1]))
+    return float(channel.delays_s[order][k])
+
+
 class TestGenerateMultipath:
+    # the 80 ns NLOS profile of the paper presets (78.4 ns measured over
+    # these seeds) and a 35 ns LOS profile (34.85 ns measured)
     @pytest.mark.parametrize(
-        "environment,los",
-        [("office", False), ("industrial", False), ("office", True), ("outdoor", True)],
+        "profile",
+        [DelaySpreadProfile(False, 80.0, 27.0), DelaySpreadProfile(True, 35.0, 13.2556)],
+        ids=["nlos_80ns", "los_35ns"],
     )
-    def test_ensemble_duration(self, environment, los):
-        profile = profile_preset(environment, los)
+    def test_ensemble_duration(self, profile):
         durations = [
             energy_duration_95(generate_multipath(profile, seed))
             for seed in range(10_000, 10_200)
@@ -51,13 +60,13 @@ class TestGenerateMultipath:
         assert abs(mean_ns - target) <= DURATION_REL * target
 
     def test_single_tap_degenerate(self):
-        profile = DelaySpreadProfile("custom", False, 1.0, decay_constant_ns=1e-6)
+        profile = DelaySpreadProfile(False, 1.0, decay_constant_ns=1e-6)
         channel = generate_multipath(profile, seed=3)
         assert channel.gains.size == 1
         assert channel.delays_s[0] == 0.0
 
     def test_deterministic(self):
-        profile = profile_preset("office", False)
+        profile = DelaySpreadProfile(False, 47.0, 16.3333)
         a = generate_multipath(profile, seed=11)
         b = generate_multipath(profile, seed=11)
         assert np.array_equal(a.gains, b.gains)
@@ -65,8 +74,8 @@ class TestGenerateMultipath:
         assert not np.array_equal(a.gains, c.gains)
 
     def test_unit_energy(self):
-        channel = generate_multipath(profile_preset("outdoor", False), seed=5)
-        assert channel.energy == pytest.approx(1.0, rel=1e-12)
+        channel = generate_multipath(DelaySpreadProfile(False, 268.0, 90.9878), seed=5)
+        assert np.sum(np.abs(channel.gains) ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestEffectiveTaps:

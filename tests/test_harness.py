@@ -57,7 +57,6 @@ def every_section() -> harness.Scenario:
     """tiny with every optional section set: a scenario file's full key set."""
     return tiny(
         channel_profile=DelaySpreadProfile(
-            environment="custom",
             los=True,
             target_95pct_duration_ns=20.0,
             decay_constant_ns=7.5,
@@ -71,7 +70,6 @@ def every_section() -> harness.Scenario:
         detector=DetectionConfig(p=2, p_fa=1e-3, radios=2),
         cfo_range_hz=8e6,
         known_noise=False,
-        metadata=(("sample_rate_hz", repr(FS)), ("note", "every section")),
     )
 
 
@@ -82,8 +80,9 @@ def curve_bytes(scenario, out_dir, workers=0) -> bytes:
 
 
 class TestRunCurve:
-    def test_csv_bytes_independent_of_workers_and_resume(self, tmp_path):
-        sc = tiny()
+    @pytest.mark.parametrize("make", [tiny, every_section], ids=["tiny", "every_section"])
+    def test_csv_bytes_independent_of_workers_and_resume(self, tmp_path, make):
+        sc = make()
         serial = curve_bytes(sc, tmp_path / "serial")
         assert serial.count(b"\n") == 1 + len(sc.snr_sweep_db)
         assert curve_bytes(sc, tmp_path / "pooled", workers=2) == serial
@@ -167,7 +166,6 @@ class TestScenarioText:
         assert "channel_profile.los = true" in text
         assert "interference.psd_above_noise_db_range = 3.0, 9.5" in text
         assert "cfo_range_hz = 8000000.0" in text
-        assert keys[-2:] == ["meta.sample_rate_hz", "meta.note"]
         # a section that is None writes no lines
         assert "channel_profile." not in harness.scenario_to_text(tiny())
         assert "interference." not in harness.scenario_to_text(tiny())
@@ -181,10 +179,13 @@ class TestScenarioText:
             "mode = srb",
             "channel.environment = none",
             "start_jitter_span = 1",
+            "channel_profile.environment = custom",
+            "meta.note = x",
         ],
     )
     def test_old_keys_refused(self, line):
-        text = harness.scenario_to_text(tiny()) + line + "\n"
+        # every section present, as in an old file that wrote a profile
+        text = harness.scenario_to_text(every_section()) + line + "\n"
         key = line.partition(" = ")[0]
         with pytest.raises(ValueError, match=f"unknown keys: {key}$"):
             harness.scenario_from_text(text)
@@ -194,6 +195,26 @@ class TestScenarioText:
         lines = harness.scenario_to_text(every_section()).splitlines()
         text = "\n".join(l for l in lines if not l.startswith(key + " ="))
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            harness.scenario_from_text(text)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("snr_sweep_db", "-14.0, nan"),
+            ("snr_sweep_db", "inf"),
+            ("cfo_range_hz", "inf"),
+            ("channel_profile.target_95pct_duration_ns", "inf"),
+            ("channel_profile.decay_constant_ns", "inf"),
+            ("channel_profile.tap_spacing_ns", "inf"),
+        ],
+    )
+    def test_non_finite_value_refused(self, key, value):
+        # refused when read, not first inside a trial's arithmetic
+        lines = harness.scenario_to_text(every_section()).splitlines()
+        text = "\n".join(
+            f"{key} = {value}" if l.startswith(key + " =") else l for l in lines
+        )
+        with pytest.raises(ValueError, match=f"{key.split('.')[-1]} must be .*finite"):
             harness.scenario_from_text(text)
 
     def test_duplicate_key_refused(self):
@@ -226,8 +247,9 @@ class TestComputedValues:
         assert bundle.thr > threshold(det.p_fa, det.p)
 
     def test_negative_cfo_range_refused(self):
-        with pytest.raises(ValueError, match="cfo_range_hz"):
-            tiny(cfo_range_hz=-1.0)
+        for value in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="cfo_range_hz"):
+                tiny(cfo_range_hz=value)
 
     def test_radio_count_must_divide_subbands(self):
         with pytest.raises(ValueError, match="radio count must divide"):
@@ -319,10 +341,10 @@ PRESET_SWEEPS = {
 # each preset's scenario text hashed; point state files carry it, so a
 # moved value or renamed key makes finished points foreign
 PRESET_FINGERPRINTS = {
-    "desk": "b36b5ff829226e69",
-    "narrowband": "8825842594b2a700",
-    "wideband": "baf2fc5292a585c9",
-    "wideband_short": "fc620439d717fdde",
+    "desk": "d2c9daf55e205e35",
+    "narrowband": "92704f3df98c6c5e",
+    "wideband": "4987f95cf0850d2a",
+    "wideband_short": "08e78ef5d848a87d",
 }
 
 

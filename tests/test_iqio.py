@@ -40,6 +40,12 @@ class TestRoundTrip:
         back = iq_read(path)
         assert back.sample_rate_hz == 1.0
 
+    def test_rewrite_without_rate_drops_old_sidecar(self, tmp_path):
+        path = tmp_path / "f.iq"
+        iq_write(np.ones(3, dtype=complex), path, sample_rate_hz=5e8)
+        iq_write(np.ones(3, dtype=complex), path)
+        assert iq_read(path).sample_rate_hz == 1.0
+
     def test_explicit_rate_beats_signal_tag(self, tmp_path):
         path = tmp_path / "e.iq"
         iq_write(ComplexSignal(np.ones(2, dtype=complex), 10.0), path, sample_rate_hz=7.0)

@@ -233,5 +233,6 @@ class TestNoncentralChi2Tail:
 
 class TestComplexSignal:
     def test_sample_rate_validation(self):
-        with pytest.raises(ValueError):
-            ComplexSignal(np.array([1.0 + 0j]), 0.0)
+        for rate in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sample_rate_hz"):
+                ComplexSignal(np.array([1.0 + 0j]), rate)
