@@ -2,9 +2,12 @@
 
 A ChannelizerConfig holds the waveform the cascade detects (one
 waveform.WaveformConfig: prototype, code and preamble) and its branch
-count p; every size the stages use is derived from those two.  The
-detector is one chain of stage functions on plain arrays, each
-advancing its own state object:
+count p.  Every size and table the stages read depends on those two
+alone, so the config builds its tables once: the phase ramp shared by
+analysis and synthesis, the polyphase interpolator `coeffs` with its
+`delay`, the synthesis `weights` and the conjugate preamble symbols.
+A stage state holds only what the stream moves: tails and counters.
+Every stage takes (input, cfg, state) and advances that state:
 
 - `afb_process` splits the input into L overlapping subcarrier bands
   with a polyphase analysis bank built on the transmit prototype (so
@@ -13,8 +16,8 @@ advancing its own state object:
 - the band noise power phi is either pinned to one (L,) profile
   (calibrated mode) or estimated per hop by `track_power` from the
   trailing fifo_capacity hops, one (hops, L) row per hop;
-- `_whitened_residues` scales each band by its conjugate code over phi
-  and inverts across bands, one row per hop, for both modes;
+- `_whitened_residues` (stateless) scales each band by its conjugate
+  code over phi and inverts across bands, one row per hop, both modes;
 - `_synthesize` resynthesizes y' with a polyphase interpolator, where
   each output sums only the lag_hops taps of its own phase, at the
   residues l < p the comb reads: row l of its block holds y'[fL + l];
@@ -41,7 +44,7 @@ chunked (streaming) processing and one-shot processing bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,11 +75,17 @@ class ChannelizerConfig:
 
     The waveform's num_subbands is L, even here: analysis outputs
     appear every hop = L/2 input samples.  branch_count is the number
-    of matched-filter branches p (delay hypotheses).
+    of matched-filter branches p (delay hypotheses).  The tables below
+    are built from those two, once per config.
     """
 
     waveform: WaveformConfig
     branch_count: int
+    phase: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
+    delay: int = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    conj_symbols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         l = self.num_subbands
@@ -84,10 +93,28 @@ class ChannelizerConfig:
             raise ValueError("num_subbands must be even")
         if not 1 <= self.branch_count < l:
             raise ValueError("branch_count must satisfy 1 <= p < num_subbands")
+        wf = self.waveform
         # the band mainlobe, (1 + rolloff)/(2L) each side, must end inside
         # the interpolator passband, 0.9 of the decimated Nyquist 1/L
-        if 1.0 + self.waveform.prototype.rolloff > 1.8:
+        if 1.0 + wf.prototype.rolloff > 1.8:
             raise ValueError("oversampling too low for the prototype rolloff")
+        # polyphase table: coeffs[phase, k] = interp[phase + k*hop], with the
+        # phases one tap short padded by 0.0
+        interp = _interp_taps(self)
+        lag = (interp.size - 1) // self.hop + 1
+        table = np.zeros(lag * self.hop)
+        table[: interp.size] = interp
+        center = pulse_origin_index(wf.prototype)
+        recenter = np.exp(2j * np.pi * wf.normalized_frequencies() * center)
+        for name, value in (
+            ("phase", _phase_table(l)),
+            ("coeffs", np.ascontiguousarray(table.reshape(lag, self.hop).T)),
+            # odd interpolator length keeps the group delay whole
+            ("delay", (interp.size - 1) // 2),
+            ("weights", _stable_product(recenter, wf.code.gains, conjugate_b=True)),
+            ("conj_symbols", np.conj(wf.preamble_symbols)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_subbands(self) -> int:
@@ -104,6 +131,11 @@ class ChannelizerConfig:
     @property
     def fifo_capacity(self) -> int:
         return 2 * self.preamble_length
+
+    @property
+    def lag_hops(self) -> int:
+        """How many past analysis hops one output sample can reference."""
+        return self.coeffs.shape[1]
 
 
 def _band_power(power: np.ndarray) -> np.ndarray:
@@ -164,20 +196,12 @@ def _phase_table(num_subbands: int) -> np.ndarray:
 
 @dataclass
 class AnalysisState:
-    cfg: ChannelizerConfig
-    phase: np.ndarray
-    taps: np.ndarray
     tail: np.ndarray
     next_hop: int = 0
 
 
 def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
-    return AnalysisState(
-        cfg=cfg,
-        phase=_phase_table(cfg.num_subbands),
-        taps=cfg.waveform.prototype.taps.astype(np.float64),
-        tail=np.zeros(0, dtype=np.complex128),
-    )
+    return AnalysisState(tail=np.zeros(0, dtype=np.complex128))
 
 
 # complex elements in one block's zero-padded fold buffer (32 MiB)
@@ -192,12 +216,10 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     equals the input correlated against the prototype modulated to
     subcarrier k, i.e. filtered and decimated.
     """
-    if state.cfg is not cfg:
-        raise ValueError("state was built for a different config")
     x = np.asarray(chunk, dtype=np.complex128)
     l = cfg.num_subbands
     d = cfg.hop
-    taps = state.taps
+    taps = cfg.waveform.prototype.taps
     span_slots = (taps.size + l - 1) // l
     data = np.concatenate([state.tail, x]) if state.tail.size else x
     start_hop = state.next_hop
@@ -206,7 +228,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
         state.tail = data.copy()
         return np.zeros((0, l), dtype=np.complex128)
     offset = start_hop * d
-    v = _stable_product(data, state.phase[(offset + np.arange(data.size)) % (2 * l)])
+    v = _stable_product(data, cfg.phase[(offset + np.arange(data.size)) % (2 * l)])
     out = np.empty((n_hops, l), dtype=np.complex128)
     windows = sliding_window_view(v, taps.size)[::d]
     hop_idx = start_hop + np.arange(n_hops)
@@ -299,47 +321,18 @@ def _interp_taps(cfg: ChannelizerConfig) -> np.ndarray:
 
 @dataclass
 class SynthesisState:
-    cfg: ChannelizerConfig
-    phase: np.ndarray
-    coeffs: np.ndarray
-    delay: int
-    weights: np.ndarray
     z_tail: np.ndarray
     tail_hop: int
     next_frame: int = 0
 
-    @property
-    def lag_hops(self) -> int:
-        """How many past analysis hops one output sample can reference."""
-        return self.coeffs.shape[1]
-
 
 def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
-    wf = cfg.waveform
-    nu = wf.normalized_frequencies()
-    center = pulse_origin_index(wf.prototype)
-    weights = _stable_product(np.exp(2j * np.pi * nu * center), wf.code.gains, conjugate_b=True)
-    # polyphase table: coeffs[phase, k] = interp[phase + k*hop], with the
-    # phases one tap short padded by 0.0
-    interp = _interp_taps(cfg)
-    d = cfg.hop
-    lag = (interp.size - 1) // d + 1
-    table = np.zeros(lag * d)
-    table[: interp.size] = interp
-    return SynthesisState(
-        cfg=cfg,
-        phase=_phase_table(cfg.num_subbands),
-        coeffs=np.ascontiguousarray(table.reshape(lag, d).T),
-        # odd interpolator length keeps the group delay whole
-        delay=(interp.size - 1) // 2,
-        weights=weights,
-        # the history before the stream is silence
-        z_tail=np.zeros((lag - 1, cfg.branch_count), dtype=np.complex128),
-        tail_hop=-(lag - 1),
-    )
+    # the history before the stream is silence
+    lag = cfg.lag_hops
+    return SynthesisState(np.zeros((lag - 1, cfg.branch_count), dtype=np.complex128), 1 - lag)
 
 
-def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
+def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState) -> np.ndarray:
     """Polyphase interpolation of y' at the residues the comb reads.
 
     z_new rows are L-point inverse DFTs of the gain-scaled band samples,
@@ -357,18 +350,17 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     order whatever the chunking; and a sum started at +0.0 never turns
     -0.0, so the +-0.0 terms of the 0.0 pad taps change no bit.
     """
-    cfg = state.cfg
     l = cfg.num_subbands
     d = cfg.hop
     p = cfg.branch_count
-    delay = state.delay
+    delay = cfg.delay
     z = np.concatenate([state.z_tail, z_new[:, :p]], axis=0)
     base_hop = state.tail_hop
     f_start = state.next_frame
     # frame f is whole once its last residue fL + p - 1 has its newest hop
     f_stop = max(f_start, ((base_hop + z.shape[0]) * d - delay - p) // l + 1)
     # keep every hop the oldest unemitted frame reaches
-    keep = (f_stop * l + delay) // d - (state.lag_hops - 1)
+    keep = (f_stop * l + delay) // d - (cfg.lag_hops - 1)
     state.z_tail = z[keep - base_hop :].copy()
     state.tail_hop = keep
     state.next_frame = f_stop
@@ -381,7 +373,7 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     # slice per k then serves every residue
     rows = np.arange(z.shape[0] - skew[-1]) + skew[:, None]
     planes = np.stack([z.real[rows, residues[:, None]], z.imag[rows, residues[:, None]]])
-    taps = state.coeffs[(residues + delay) % d].T[:, :, None]  # (lag, p, 1)
+    taps = cfg.coeffs[(residues + delay) % d].T[:, :, None]  # (lag, p, 1)
     s = 2 * f_start + delay // d - base_hop  # plane column of frame f_start, k = 0
     acc = np.zeros((2, p, frames))
     for k, tap in enumerate(taps):
@@ -389,7 +381,7 @@ def _synthesize(z_new: np.ndarray, state: SynthesisState) -> np.ndarray:
     y = np.empty((p, frames), dtype=np.complex128)
     y.real, y.imag = acc
     ramp = residues[:, None] + l * ((f_start + np.arange(frames)) % 2)  # (fL + l) mod 2L
-    return _stable_product(y, state.phase[ramp], conjugate_b=True)
+    return _stable_product(y, cfg.phase[ramp], conjugate_b=True)
 
 
 def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
@@ -400,13 +392,11 @@ def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
     smallest multiple of L whose oldest contributing hop, through the
     synthesis interpolator delay, has a full window.
     """
-    first_m = (cfg.fifo_capacity - 1) * cfg.hop + synthesis_state(cfg).delay + 1
+    first_m = (cfg.fifo_capacity - 1) * cfg.hop + cfg.delay + 1
     return -(-first_m // cfg.num_subbands) * cfg.num_subbands
 
 
-def _whitened_residues(
-    values: np.ndarray, phi: np.ndarray, state: SynthesisState
-) -> np.ndarray:
+def _whitened_residues(values: np.ndarray, phi: np.ndarray, cfg: ChannelizerConfig) -> np.ndarray:
     """Scale (hops, bands) samples by conj-code over phi, invert across bands.
 
     phi is one profile (L,) for every hop or one row per hop (hops, L);
@@ -414,23 +404,19 @@ def _whitened_residues(
     _synthesize.  With phi identically one the chain reduces to matched
     filtering by the composite pulse; a band with phi = +inf is zeroed.
     """
-    gains = _stable_quotient(state.weights, phi)
+    gains = _stable_quotient(cfg.weights, phi)
     scaled = _stable_product(values, gains)
-    return np.fft.ifft(scaled, axis=1) * state.cfg.num_subbands
+    return np.fft.ifft(scaled, axis=1) * cfg.num_subbands
 
 
 @dataclass
 class MatchedFilterState:
-    conj_symbols: np.ndarray
     tail: np.ndarray
     next_anchor: int = 0
 
 
 def mf_state(cfg: ChannelizerConfig) -> MatchedFilterState:
-    return MatchedFilterState(
-        conj_symbols=np.conj(cfg.waveform.preamble_symbols),
-        tail=np.zeros((cfg.branch_count, 0), dtype=np.complex128),
-    )
+    return MatchedFilterState(tail=np.zeros((cfg.branch_count, 0), dtype=np.complex128))
 
 
 _MF_BLOCK_ELEMENTS = 1 << 14  # comb products per block: 256 KiB, to stay in cache
@@ -449,7 +435,7 @@ def matched_filter_bank(
     own products, so taking windows in blocks changes no bit.
     """
     n = cfg.preamble_length
-    conj = state.conj_symbols
+    conj = cfg.conj_symbols
     data = np.concatenate([state.tail, block], axis=1)
     n_windows = max(0, data.shape[1] - n + 1)
     out = np.empty((cfg.branch_count, n_windows), dtype=np.complex128)
@@ -476,8 +462,8 @@ class CascadeDetector:
     starts at tracked_first_anchor(cfg), the one home of that warm-up
     rule.  A window's beta is that of the newest hop it reaches, which
     is always one whitened in the same push; a window whose newest hop
-    has no estimate scores 0.0.  Non-finite samples are refused before
-    any stage state moves.
+    has no estimate scores 0.0.  Samples that are not one finite vector
+    are refused before any stage state moves.
     """
 
     def __init__(self, cfg: ChannelizerConfig, power_override=None):
@@ -488,10 +474,7 @@ class CascadeDetector:
         # last sample of a window past its anchor, then through the
         # interpolator delay: the newest hop the window reaches
         self._beta_hop_offset = (
-            (cfg.preamble_length - 1) * cfg.num_subbands
-            + cfg.branch_count
-            - 1
-            + self._sfb.delay
+            (cfg.preamble_length - 1) * cfg.num_subbands + cfg.branch_count - 1 + cfg.delay
         )
         if power_override is None:
             self._power = power_state(cfg)
@@ -508,6 +491,8 @@ class CascadeDetector:
         """Process more samples; returns (anchor indices, statistics)."""
         cfg = self.cfg
         x = np.asarray(chunk, dtype=np.complex128)
+        if x.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
         first_hop = self._afb.next_hop
@@ -516,8 +501,8 @@ class CascadeDetector:
             phi = self._phi
         else:
             phi = track_power(values, cfg, self._power)
-        z = _whitened_residues(values, phi, self._sfb)
-        branches = matched_filter_bank(_synthesize(z, self._sfb), cfg, self._mf)
+        z = _whitened_residues(values, phi, cfg)
+        branches = matched_filter_bank(_synthesize(z, cfg, self._sfb), cfg, self._mf)
         n_win = branches.shape[1]
         anchors = (self._mf.next_anchor - n_win + np.arange(n_win)) * cfg.num_subbands
         keep = anchors >= self._min_anchor

@@ -414,17 +414,15 @@ def ideal_band_split(y: np.ndarray, num_subbands: int, radios: int) -> list[np.n
         raise ValueError("window length must be a multiple of the band count")
     n = y.size // l
     k = l // radios
-    spectrum = np.fft.fft(y, norm="ortho")
+    # row b holds the n bins of band slot b; dst_block permutes all k rows
+    spectrum = np.fft.fft(y, norm="ortho").reshape(l, n)
     src_block = (np.arange(l) - l // 2 - 1) % l
     dst_block = (np.arange(k) - k // 2 - 1) % k
     outs = []
     for m in range(radios):
-        sub = np.zeros(n * k, dtype=np.complex128)
-        for j in range(k):
-            src = src_block[m * k + j] * n
-            dst = dst_block[j] * n
-            sub[dst : dst + n] = spectrum[src : src + n]
-        outs.append(np.fft.ifft(sub, norm="ortho"))
+        sub = np.empty((k, n), dtype=np.complex128)
+        sub[dst_block] = spectrum[src_block[m * k : (m + 1) * k]]
+        outs.append(np.fft.ifft(sub.ravel(), norm="ortho"))
     return outs
 
 

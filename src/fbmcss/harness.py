@@ -640,7 +640,8 @@ def _read_fields(cls, pairs: dict[str, str], prefix: str = "") -> dict:
     for f, hint, optional in _field_types(cls):
         key = prefix + f.name
         if dataclasses.is_dataclass(hint):
-            if optional and not any(k.startswith(key + ".") for k in pairs):
+            # present only through its own keys; strays go to _refuse_unknown
+            if optional and not any(f"{key}.{g.name}" in pairs for g in dataclasses.fields(hint)):
                 kwargs[f.name] = None
             else:
                 kwargs[f.name] = hint(**_read_fields(hint, pairs, key + "."))

@@ -36,6 +36,8 @@ class ComplexSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
         object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
         if not 0.0 < self.sample_rate_hz < math.inf:
             raise ValueError("sample_rate_hz must be positive and finite")
 

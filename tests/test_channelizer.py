@@ -1,12 +1,15 @@
 """Cascade channelizer: analysis bank, power tracking, synthesis, matched
 filtering, and the end-to-end streaming detector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from fbmcss import channelizer
 from fbmcss.channel import assemble_stream
 from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
@@ -26,6 +29,7 @@ from fbmcss.channelizer import (
     power_state,
     synthesis_state,
     track_power,
+    tracked_first_anchor,
 )
 from fbmcss.detector import compute_beta, rao_low_complexity, threshold
 from fbmcss.numerics import ComplexSignal
@@ -111,11 +115,41 @@ class TestChannelizerConfig:
         with pytest.raises(ValueError):
             ChannelizerConfig(wide, P)
 
-    def test_state_config_identity_enforced(self, wf, cfg):
-        other = ChannelizerConfig(wf, P)
-        state = analysis_state(other)
-        with pytest.raises(ValueError):
-            afb_process(np.zeros(64, dtype=np.complex128), cfg, state)
+    def test_tables_built_once_per_config(self, wf, monkeypatch):
+        # the config builds every fixed table; detectors and pushes on it
+        # build none, and a stage state holds only tails and counters
+        calls = {"_interp_taps": 0, "_phase_table": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(channelizer, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(channelizer, name, counted)
+        c = ChannelizerConfig(wf, P)
+        assert max(calls.values()) <= 1
+        built = dict(calls)
+        x = white(3000, N0 / L, 51)
+        for override in [None] * 5 + [np.full(L, N0)] * 5:
+            det = CascadeDetector(c, power_override=override)
+            assert det.push(x)[1].size > 0
+        assert tracked_first_anchor(c) > 0
+        assert calls == built
+        moved = {"tail", "next_hop", "tail_hop", "z_tail", "next_frame", "next_anchor"}
+        for make in (analysis_state, power_state, synthesis_state, mf_state):
+            assert {f.name for f in dataclasses.fields(make(c))} <= moved
+
+    @pytest.mark.parametrize("l,n,p", [(16, 8, 4), (64, 32, 4), (32, 8, 9), (16, 8, 15)])
+    def test_tracked_first_anchor_is_first_scored(self, l, n, p):
+        # p = 15 is L - 1, the branch count that waits longest for a frame
+        spec = WaveformSpec(l, n, symbol_duration_s=l / FS, sign_seed=3, symbol_seed=5)
+        c = ChannelizerConfig(spec.build(), p)
+        first = tracked_first_anchor(c)
+        x = white(first + 4 * n * l, N0 / l, 53)
+        anchors, stats = CascadeDetector(c).push(x)
+        assert anchors.size > 0 and anchors[0] == first and first % l == 0
+        # every scored window's newest hop has an estimate
+        assert np.all(stats > 0.0)
 
 
 class TestAnalysisBank:
@@ -192,7 +226,7 @@ class TestAnalysisBank:
     def test_push_spanning_several_blocks_matches_chunked_bitwise(self, cfg):
         x = white(1 << 17, 1.0, 19)
         state = analysis_state(cfg)
-        span_slots = -(-state.taps.size // L)
+        span_slots = -(-cfg.waveform.prototype.taps.size // L)
         whole = afb_process(x, cfg, state)
         # the one-shot call folds more hops than one block holds
         assert whole.shape[0] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
@@ -347,7 +381,7 @@ class DirectFormSynthesis:
 
 def full_rate(values, phi, cfg):
     """y' for one analysis block at full rate: whitening, then the oracle."""
-    return DirectFormSynthesis(cfg, 2)(_whitened_residues(values, phi, synthesis_state(cfg)))
+    return DirectFormSynthesis(cfg, 2)(_whitened_residues(values, phi, cfg))
 
 
 def residue_block(y, p):
@@ -377,17 +411,17 @@ class TestSynthesis:
         for steps in cuts:
             # whitening and the full-rate oracle do not depend on p
             st_a = analysis_state(cfg)
-            st_w = synthesis_state(cfg)
             oracle = DirectFormSynthesis(cfg, r)
             zs, ys = [], []
             lo = 0
             for step in steps:
-                zs.append(_whitened_residues(afb_process(x[lo : lo + step], cfg, st_a), phi, st_w))
+                zs.append(_whitened_residues(afb_process(x[lo : lo + step], cfg, st_a), phi, cfg))
                 ys.append(oracle(zs[-1]))
                 lo += step
             for p in (1, P, L - 1):
-                st_s = synthesis_state(ChannelizerConfig(wf, p))
-                blocks = [_synthesize(z, st_s) for z in zs]
+                c = ChannelizerConfig(wf, p)
+                st_s = synthesis_state(c)
+                blocks = [_synthesize(z, c, st_s) for z in zs]
                 for i in range(len(steps)):
                     y = np.concatenate(ys[: i + 1])
                     block = np.concatenate(blocks[: i + 1], axis=1)
@@ -397,15 +431,14 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("r", [2])
     def test_polyphase_table_is_interpolator_in_tap_order(self, cfg, r):
-        st = synthesis_state(cfg)
         taps = _interp_taps(cfg)
-        assert st.coeffs.shape == (L // r, st.lag_hops)
+        assert cfg.coeffs.shape == (L // r, cfg.lag_hops)
         # coeffs[phase, k] is tap phase + k*hop
-        in_tap_order = st.coeffs.T.ravel()
+        in_tap_order = cfg.coeffs.T.ravel()
         assert 0 <= in_tap_order.size - taps.size < cfg.hop
         assert np.array_equal(in_tap_order[: taps.size], taps)
         assert not np.any(in_tap_order[taps.size :])
-        assert st.delay == (taps.size - 1) // 2
+        assert cfg.delay == (taps.size - 1) // 2
 
     def test_unity_profile_reconstructs_matched_filter(self, wf, cfg):
         g = synthesize_pulse(wf).samples
@@ -495,7 +528,7 @@ class TestSynthesis:
         lo = 0
         for step in (100, 1, 5000, 0, 12345, 77, 3000, x.size):
             values = afb_process(x[lo : lo + step], cfg, st_a)
-            pieces.append(_synthesize(_whitened_residues(values, phi, st_s), st_s))
+            pieces.append(_synthesize(_whitened_residues(values, phi, cfg), cfg, st_s))
             lo += step
         chunked = np.concatenate(pieces, axis=1)
         assert chunked.shape == whole.shape
@@ -770,6 +803,10 @@ class TestDetection:
             bad[400] = value
             with pytest.raises(ValueError, match="finite"):
                 det.push(bad)
+        # a scalar or a column or row matrix is refused too, not broadcast
+        for shape in ((), (64, 1), (1, 64)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                det.push(np.ones(shape, dtype=np.complex128))
         got += [det.push(piece) for piece in pieces[1:]]
         assert want[-1][1].size > 0
         for (a, s), (b, t) in zip(want, got):

@@ -295,6 +295,22 @@ class TestMrbCombine:
             float(np.sum(np.abs(y) ** 2)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("num_subbands,radios", [(64, 2), (64, 4), (4096, 8), (16, 16)])
+    def test_split_equals_per_band_copies_bitwise(self, num_subbands, radios):
+        # the oracle moves each band's n bins with its own slice copy
+        rng = np.random.default_rng(12)
+        l, k, n = num_subbands, num_subbands // radios, 3
+        y = rng.standard_normal(n * l) + 1j * rng.standard_normal(n * l)
+        spectrum = np.fft.fft(y, norm="ortho")
+        src_block = (np.arange(l) - l // 2 - 1) % l
+        dst_block = (np.arange(k) - k // 2 - 1) % k
+        for m, part in enumerate(ideal_band_split(y, l, radios)):
+            sub = np.zeros(n * k, dtype=np.complex128)
+            for j in range(k):
+                src, dst = src_block[m * k + j] * n, dst_block[j] * n
+                sub[dst : dst + n] = spectrum[src : src + n]
+            assert part.tobytes() == np.fft.ifft(sub, norm="ortho").tobytes()
+
     def test_null_law_matches_srb(self):
         # MRB recombines the same information non-coherently: the per-
         # realization value differs from SRB, the chi-squared null law

@@ -184,11 +184,13 @@ class TestScenarioText:
         ],
     )
     def test_old_keys_refused(self, line):
-        # every section present, as in an old file that wrote a profile
-        text = harness.scenario_to_text(every_section()) + line + "\n"
+        # every section present, as in an old file that wrote a profile,
+        # or none: a stray key does not make its section present
         key = line.partition(" = ")[0]
-        with pytest.raises(ValueError, match=f"unknown keys: {key}$"):
-            harness.scenario_from_text(text)
+        for sc in (every_section(), tiny()):
+            text = harness.scenario_to_text(sc) + line + "\n"
+            with pytest.raises(ValueError, match=f"unknown keys: {key}$"):
+                harness.scenario_from_text(text)
 
     @pytest.mark.parametrize("key", ["root_seed", "waveform.num_subbands", "channel_profile.los"])
     def test_missing_required_key_refused(self, key):

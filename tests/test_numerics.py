@@ -236,3 +236,8 @@ class TestComplexSignal:
         for rate in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="sample_rate_hz"):
                 ComplexSignal(np.array([1.0 + 0j]), rate)
+
+    def test_samples_must_be_a_vector(self):
+        for samples in (np.ones((3, 2), dtype=complex), np.ones((4, 1)), np.complex128(1.0)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                ComplexSignal(samples, 1e6)
