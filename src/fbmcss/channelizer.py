@@ -15,7 +15,12 @@ Every stage takes (input, cfg, state) and advances that state:
   new (hops, bands) block;
 - the band noise power phi is either pinned to one (L,) profile
   (calibrated mode) or estimated per hop by `track_power` from the
-  trailing fifo_capacity hops, one (hops, L) row per hop;
+  trailing fifo_capacity hops, one (hops, L) row per hop: hops are cut
+  into blocks of fifo_capacity, and a window is the suffix of one block
+  plus the prefix of the next, so its sum is the closed block's reverse
+  cumulative sum plus the open block's running sum (the aligned-block
+  sliding-window aggregation of Tangwongsan, Hirzel and Schneider,
+  PVLDB 2015), O(L) per hop, and phi = L * (sum / fifo_capacity);
 - `_whitened_residues` (stateless) scales each band by its conjugate
   code over phi and inverts across bands, one row per hop, both modes;
 - `_synthesize` resynthesizes y' with a polyphase interpolator, where
@@ -28,7 +33,9 @@ Every stage takes (input, cfg, state) and advances that state:
 window before its first hop, which delays the first scored anchor;
 `tracked_first_anchor` is that rule.  A hop with no power estimate (in
 warm-up, or with a silent hop or zero median power in its window) gets
-phi = +inf: its residue row is zero and it adds nothing to beta.
+phi = +inf: its residue row is zero and it adds nothing to beta.  A
+silent hop is one whose analysis window holds a hop-aligned block of
+hop exactly-zero samples (`_silent_hops`).
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -37,9 +44,11 @@ correlation window starting at input sample m; interpolation group
 delay is folded into the bookkeeping, so detection indices need no
 further correction.
 
-Every reduction is evaluated per output element over a canonical window
-in a fixed order (the synthesis in ascending tap order), which makes
-chunked (streaming) processing and one-shot processing bit-identical.
+Every reduction is evaluated per output element in a fixed order that
+no chunking moves (the synthesis in ascending tap order, the power sums
+in ascending hop order from their block's start on the absolute hop
+index, with no subtraction), which makes chunked (streaming) processing
+and one-shot processing bit-identical.
 """
 
 from __future__ import annotations
@@ -138,22 +147,6 @@ class ChannelizerConfig:
         return self.coeffs.shape[1]
 
 
-def _band_power(power: np.ndarray) -> np.ndarray:
-    """Per-band PSD from a contiguous (bands, window) block of |x|^2.
-
-    The unit-energy analysis filter concentrates a band's PSD, so the
-    full-rate per-band PSD is L times the subband sample variance; the
-    chi-squared threshold calibration depends on this reference plane.
-    The floor keeps silent bands from blowing up the whitening division.
-    A window of zero median power has no estimate: every band is +inf.
-    """
-    phi = power.shape[0] * np.mean(power, axis=1)
-    med = float(np.median(phi))
-    if med == 0.0:
-        return np.full(phi.size, np.inf)
-    return np.maximum(phi, _POWER_FLOOR_RATIO * med)
-
-
 def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> np.ndarray:
     """Elementwise complex product computed through real-part arithmetic.
 
@@ -217,6 +210,8 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     subcarrier k, i.e. filtered and decimated.
     """
     x = np.asarray(chunk, dtype=np.complex128)
+    if x.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
     l = cfg.num_subbands
     d = cfg.hop
     taps = cfg.waveform.prototype.taps
@@ -234,7 +229,9 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     hop_idx = start_hop + np.arange(n_hops)
     shift = (hop_idx * d) % l
     col = np.arange(l)
+    # equal blocks, as many as blocks of the largest size would make
     block = max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l))
+    block = -(-n_hops // -(-n_hops // block))
     for lo in range(0, n_hops, block):
         hi = min(lo + block, n_hops)
         # multiply straight into the zero-padded fold buffer: one
@@ -252,49 +249,97 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
 
 @dataclass
 class PowerState:
-    """|x|^2 of the last fifo_capacity analysis hops, one row per hop."""
+    """Block sums of |x|^2 over analysis hops, one (L,) row per hop.
 
-    tail: np.ndarray
-    tail_hop: int = 0
+    Hops are cut into blocks of fifo_capacity on the absolute hop index.
+    `rows` holds the open block's rows so far and `fwd` their running
+    sum; `rev` is the reverse cumulative sum of the last closed block
+    (rev[r] sums its rows r..cap-1).  `last_silent` is the newest silent
+    hop so far.  No field grows with the stream.
+    """
 
-    @property
-    def next_hop(self) -> int:
-        return self.tail_hop + self.tail.shape[0]
+    rev: np.ndarray
+    rows: np.ndarray
+    fwd: np.ndarray
+    next_hop: int = 0
+    last_silent: int = -1
 
 
 def power_state(cfg: ChannelizerConfig) -> PowerState:
-    return PowerState(tail=np.zeros((0, cfg.num_subbands)))
+    shape = (cfg.fifo_capacity, cfg.num_subbands)
+    return PowerState(np.zeros(shape), np.zeros(shape), np.zeros(cfg.num_subbands))
 
 
-def track_power(values: np.ndarray, cfg: ChannelizerConfig, state: PowerState) -> np.ndarray:
+def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
+    """Which of the hops afb_process(chunk, cfg, state) returns are silent.
+
+    Hop i is silent when its analysis window [i*hop, i*hop + taps.size)
+    fully contains a block of hop exactly-zero samples, blocks aligned
+    on the absolute sample index.  The analysis tail starts on a hop, so
+    a block cut by a push boundary is completed by the next push.
+    """
+    d = cfg.hop
+    span = cfg.waveform.prototype.taps.size
+    zero = np.concatenate([state.tail == 0, np.asarray(chunk) == 0])
+    n_hops = max(0, (zero.size - span) // d + 1)
+    blocks = zero[: zero.size // d * d].reshape(-1, d).all(axis=1)
+    # hop i fully contains blocks i .. i + k - 1; seen[j] counts blocks < j
+    k = span // d
+    seen = np.concatenate([[0], np.cumsum(blocks)])
+    return seen[k : k + n_hops] > seen[:n_hops]
+
+
+def track_power(
+    values: np.ndarray, silent: np.ndarray, cfg: ChannelizerConfig, state: PowerState
+) -> np.ndarray:
     """Per-hop band PSD from the trailing power window, strictly causal.
 
-    values is the (hops, L) block afb_process just returned.  Hop h
-    gets the _band_power of hops [h - fifo_capacity, h), so the result
-    has one (L,) row per hop.  Hops before the first full window have
-    no estimate and get +inf, as _band_power gives a silent window, and
-    so do hops whose window holds a silent hop (every band exactly zero).
+    values is the (hops, L) block afb_process just returned and silent
+    flags its silent hops.  Hop h = b*cap + r (cap = fifo_capacity) sums
+    |x|^2 over hops [h - cap, h) as rev[r] + fwd: the suffix of block
+    b - 1 plus the prefix of block b.  phi = L * (sum / cap) is L times
+    the band's mean subband power, the reference plane of the
+    chi-squared threshold calibration (the analysis filter has unit
+    energy), floored at _POWER_FLOOR_RATIO times the hop's median band
+    so silent bands cannot blow up the whitening division.  Hops with
+    no estimate get +inf: those before the first full window, those
+    whose window holds a silent hop (past one, the filter transient
+    would pass for the noise level) and those whose median is zero.
     """
     l = cfg.num_subbands
     cap = cfg.fifo_capacity
     start = state.next_hop
     hops = values.shape[0]
     power = values.real**2 + values.imag**2
-    series = np.concatenate([state.tail, power], axis=0)
-    # silent[b] - silent[a] counts the silent hops in series[a:b]; past
-    # one, the filter transient would pass for the noise level
-    silent = np.concatenate([[0], np.cumsum(~np.any(series, axis=1))])
-    phis = np.full((hops, l), np.inf)
-    # per hop, reduce a contiguous (bands, cap) snapshot, so any
-    # chunking of the stream gives bit-identical estimates
-    for h in range(max(start, cap), start + hops):
-        a = h - cap - state.tail_hop
-        if silent[a + cap] == silent[a]:
-            phis[h - start] = _band_power(np.ascontiguousarray(series[a : a + cap].T))
-    keep = min(series.shape[0], cap)
-    state.tail = series[series.shape[0] - keep :].copy()
-    state.tail_hop += series.shape[0] - keep
-    return phis
+    sums = np.empty((hops, l))
+    lo = 0
+    while lo < hops:
+        r = (start + lo) % cap
+        hi = min(hops, lo + cap - r)
+        end = r + hi - lo
+        # run[i] is the open block's sum before hop start + lo + i
+        run = np.cumsum(np.concatenate([state.fwd[None], power[lo:hi]]), axis=0)
+        np.add(state.rev[r:end], run[:-1], out=sums[lo:hi])
+        state.rows[r:end] = power[lo:hi]
+        if end < cap:
+            state.fwd[:] = run[-1]
+        else:
+            # the block closes: its suffix sums serve the next block's hops
+            np.cumsum(state.rows[::-1], axis=0, out=state.rev[::-1])
+            state.fwd[:] = 0.0
+        lo = hi
+    phi = l * (sums / cap)
+    # np.median's arithmetic for even L, without its per-call overhead
+    part = np.partition(phi, (l // 2 - 1, l // 2), axis=1)
+    med = (part[:, l // 2 - 1] + part[:, l // 2]) / 2
+    h = start + np.arange(hops)
+    # newest silent hop before each hop, then before the next push
+    newest = np.maximum.accumulate(np.concatenate([[state.last_silent], np.where(silent, h, -1)]))
+    state.next_hop = start + hops
+    state.last_silent = int(newest[-1])
+    phi = np.maximum(phi, _POWER_FLOOR_RATIO * med[:, None])
+    phi[(h < cap) | (newest[:-1] >= h - cap) | (med == 0.0)] = np.inf
+    return phi
 
 
 def _interp_taps(cfg: ChannelizerConfig) -> np.ndarray:
@@ -496,11 +541,13 @@ class CascadeDetector:
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
         first_hop = self._afb.next_hop
-        values = afb_process(x, cfg, self._afb)
         if self._power is None:
+            values = afb_process(x, cfg, self._afb)
             phi = self._phi
         else:
-            phi = track_power(values, cfg, self._power)
+            silent = _silent_hops(x, cfg, self._afb)
+            values = afb_process(x, cfg, self._afb)
+            phi = track_power(values, silent, cfg, self._power)
         z = _whitened_residues(values, phi, cfg)
         branches = matched_filter_bank(_synthesize(z, cfg, self._sfb), cfg, self._mf)
         n_win = branches.shape[1]
