@@ -31,11 +31,13 @@ Every stage takes (input, cfg, state) and advances that state:
 
 `CascadeDetector.push` runs that chain.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
-`tracked_first_anchor` is that rule.  A hop with no power estimate (in
-warm-up, or with a silent hop or zero median power in its window) gets
-phi = +inf: its residue row is zero and it adds nothing to beta.  A
-silent hop is one whose analysis window holds a hop-aligned block of
-hop exactly-zero samples (`_silent_hops`).
+`tracked_first_anchor` is that rule.  With phi pinned every stage is
+local, and `input_span` names the input samples a run of windows reads,
+so a calibrated caller can push just those.  A hop with no power
+estimate (in warm-up, or with a silent hop or zero median power in its
+window) gets phi = +inf: its residue row is zero and it adds nothing to
+beta.  A silent hop is one whose analysis window holds a hop-aligned
+block of hop exactly-zero samples (`_silent_hops`).
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -66,6 +68,7 @@ __all__ = [
     "ChannelizerConfig",
     "afb_process",
     "analysis_state",
+    "input_span",
     "matched_filter_bank",
     "mf_state",
     "power_state",
@@ -161,7 +164,7 @@ def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> 
     br, bi = b.real, b.imag
     if conjugate_b:
         bi = -bi
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
     out.real = ar * br - ai * bi
     out.imag = ar * bi + ai * br
     return out
@@ -169,7 +172,7 @@ def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> 
 
 def _stable_quotient(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """a / d for complex a and real positive d, kernel-independent."""
-    out = np.empty(np.broadcast_shapes(a.shape, d.shape), dtype=np.complex128)
+    out = np.empty(np.broadcast(a, d).shape, dtype=np.complex128)
     out.real = a.real / d
     out.imag = a.imag / d
     return out
@@ -439,6 +442,27 @@ def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
     """
     first_m = (cfg.fifo_capacity - 1) * cfg.hop + cfg.delay + 1
     return -(-first_m // cfg.num_subbands) * cfg.num_subbands
+
+
+def input_span(cfg: ChannelizerConfig, first: int, last: int) -> tuple[int, int]:
+    """Input samples [start, stop) that the windows anchored in first..last read.
+
+    With phi pinned (calibrated mode) every stage is local: the window
+    at anchor m reads the residues m + nL + l (n < N, l < p), output q
+    reads hops (q + delay) // hop - lag_hops + 1 .. (q + delay) // hop,
+    and hop h reads input [h*hop, h*hop + taps.size).  start is rounded
+    down to a multiple of 2L, the period of the analysis phase table and
+    the synthesis ramp, so a detector fed x[start:stop] gives those
+    windows, at anchor m - start, the bytes a push of all of x gives.
+    Windows before first in the slice see silence for their history.
+    """
+    l2 = 2 * cfg.num_subbands
+    d = cfg.hop
+    oldest = (first + cfg.delay) // d - (cfg.lag_hops - 1)
+    start = max(0, d * oldest // l2 * l2)
+    newest_m = last + (cfg.preamble_length - 1) * cfg.num_subbands + cfg.branch_count - 1
+    newest = (newest_m + cfg.delay) // d
+    return start, d * newest + cfg.waveform.prototype.taps.size
 
 
 def _whitened_residues(values: np.ndarray, phi: np.ndarray, cfg: ChannelizerConfig) -> np.ndarray:

@@ -9,6 +9,11 @@ scenario's SNR grid, persisting each finished point so an interrupted
 sweep resumes where it stopped and writing the curve as CSV next to a
 text copy of the scenario.
 
+A calibrated signal trial scores only the windows its hit test reads,
+those within p + L of the packet start: it pushes just the input span
+they depend on (channelizer.input_span), with the bytes a full push
+gives them.  Tracked trials and noise-only streams score every window.
+
 Reproducibility contract: every random draw in a trial comes from a
 seed sequence keyed on (root_seed, SNR point key, stream tag, trial
 index).  The key depends only on scenario content, never on execution
@@ -41,7 +46,7 @@ from .channel import (
     generate_multipath,
     noise_psd_from_eta,
 )
-from .channelizer import CascadeDetector, ChannelizerConfig, tracked_first_anchor
+from .channelizer import CascadeDetector, ChannelizerConfig, input_span, tracked_first_anchor
 from .detector import (
     DetectionConfig,
     cfo_grid,
@@ -285,12 +290,17 @@ def _draw_seed(rng) -> int:
 
 
 def _stats_single(
-    x: np.ndarray, bundle: _Bundle, scenario: Scenario, noise_psd: float
+    x: np.ndarray, bundle: _Bundle, scenario: Scenario, noise_psd: float, k0: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(full-rate anchors, statistics) for one already-derotated stream.
 
     One cascade per radio over its L/M bands, statistics summed in radio
     order; known noise pins each whitener to N0/M.  M = 1 is the SRB case.
+    Given the packet start k0 of a calibrated trial, only the windows
+    within p + L of k0 are scored: each radio pushes the input_span of
+    its sub-stream, cut after the band split (one FFT of the whole
+    stream).  A tracked window reads the hops before it, so a tracked
+    stream is always pushed whole.
     """
     radios = scenario.detector.radios
     l = bundle.wf.num_subbands
@@ -299,6 +309,15 @@ def _stats_single(
     if radios > 1:
         padded = np.concatenate([x, np.zeros((-x.size) % l, dtype=np.complex128)])
         subs = ideal_band_split(padded, l, radios)
+    sliced = k0 is not None and scenario.known_noise
+    start = 0
+    if sliced:
+        reach = scenario.detector.p + l
+        first = -(-(k0 - reach) // l) * l
+        last = (k0 + reach) // l * l
+        # every radio config has the same sizes, so one span serves all
+        start, stop = input_span(bundle.radio_cfgs[0], first // radios, last // radios)
+        subs = [sub[start:stop] for sub in subs]
     results = [
         CascadeDetector(cfg_m, power_override=override).push(sub)
         for cfg_m, sub in zip(bundle.radio_cfgs, subs)
@@ -309,17 +328,26 @@ def _stats_single(
     combined = results[0][1][:count]
     for _, stats_m in results[1:]:
         combined = combined + stats_m[:count]
-    return results[0][0][:count] * radios, combined
+    anchors = (results[0][0][:count] + start) * radios
+    if not sliced:
+        return anchors, combined
+    # windows before first had silence for history in the slice
+    keep = (anchors >= first) & (anchors <= last)
+    return anchors[keep], combined[keep]
 
 
 def _stats_over_grid(
-    stream: ComplexSignal, bundle: _Bundle, scenario: Scenario, noise_psd: float
+    stream: ComplexSignal,
+    bundle: _Bundle,
+    scenario: Scenario,
+    noise_psd: float,
+    k0: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window max of the statistic across the CFO candidate grid."""
     results = []
     for df in bundle.grid_hz:
         x = stream if df == 0.0 else apply_cfo(stream, -df)
-        results.append(_stats_single(x.samples, bundle, scenario, noise_psd))
+        results.append(_stats_single(x.samples, bundle, scenario, noise_psd, k0))
     n = min(s.size for _, s in results)
     return results[0][0][:n], np.max([s[:n] for _, s in results], axis=0)
 
@@ -382,7 +410,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)
 
-    anchors, stats = _stats_over_grid(stream, bundle, scenario, n0)
+    anchors, stats = _stats_over_grid(stream, bundle, scenario, n0, k0)
     hits = (stats > bundle.thr) & (np.abs(anchors - k0) <= det.p + l)
     return bool(np.any(hits))
 
@@ -457,8 +485,9 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
 
     A trial counts as a detection when some window statistic crosses
     the threshold and that window's anchor lies within p + L samples of
-    the true packet start.  False alarms are counted on separate
-    noise-only streams at the same settings.
+    the true packet start.  With known noise only those windows are
+    scored.  False alarms are counted on separate noise-only streams at
+    the same settings, every window of them.
 
     p_d_theory is the law of the one window aligned with the packet.
     The empirical count takes any window within +-(p + L) of the start,

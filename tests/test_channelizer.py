@@ -24,6 +24,7 @@ from fbmcss.channelizer import (
     _whitened_residues,
     afb_process,
     analysis_state,
+    input_span,
     matched_filter_bank,
     mf_state,
     power_state,
@@ -179,6 +180,34 @@ class TestChannelizerConfig:
         assert anchors.size > 0 and anchors[0] == first and first % l == 0
         # every scored window's newest hop has an estimate
         assert np.all(stats > 0.0)
+
+
+class TestInputSpan:
+    """input_span against a full push, the oracle: calibrated windows read
+    only the input the span names."""
+
+    @pytest.mark.parametrize("l,n,p", [(16, 8, 4), (64, 32, 4), (32, 8, 9), (16, 8, 15)])
+    def test_span_windows_equal_full_push_bitwise(self, l, n, p):
+        spec = WaveformSpec(l, n, symbol_duration_s=l / FS, sign_seed=3, symbol_seed=5)
+        c = ChannelizerConfig(spec.build(), p)
+        override = np.full(l, N0)
+        x = white((80 + 2 * n) * l, N0 / l, 57)
+        full_anchors, full_stats = CascadeDetector(c, power_override=override).push(x)
+        # even and odd first windows, one to three windows, and the stream start
+        for first, last in [(40 * l, 40 * l), (41 * l, 43 * l), (40 * l, 42 * l), (0, l)]:
+            start, stop = input_span(c, first, last)
+            assert start % (2 * l) == 0 and stop < x.size
+            assert (start > 0) == (first > 0)
+            anchors, stats = CascadeDetector(c, power_override=override).push(x[start:stop])
+            anchors = anchors + start
+            keep = (anchors >= first) & (anchors <= last)
+            read = (full_anchors >= first) & (full_anchors <= last)
+            assert np.count_nonzero(read) == (last - first) // l + 1
+            assert anchors[keep].tobytes() == full_anchors[read].tobytes()
+            assert stats[keep].tobytes() == full_stats[read].tobytes()
+            # tight: one sample less and the last window is never scored
+            short, _ = CascadeDetector(c, power_override=override).push(x[start : stop - 1])
+            assert short[-1] + start == last - l
 
 
 class TestAnalysisBank:

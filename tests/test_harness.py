@@ -2,7 +2,8 @@
 that do not depend on worker count or resuming, refusal of foreign point
 state, theory inside the Wilson interval, the scenario text format, the
 values a scenario computes (CFO grid, threshold), the noise window count,
-the single-radio receiver as the one-radio case of the radio loop, the CFO
+the single-radio receiver as the one-radio case of the radio loop, calibrated
+signal trials that push only the input their read windows depend on, the CFO
 search, the stream lead against the tracked warm-up, and the presets'
 placed SNR sweeps and fingerprints."""
 
@@ -22,7 +23,7 @@ from fbmcss.channel import (
     apply_cfo,
     assemble_stream,
 )
-from fbmcss.channelizer import CascadeDetector, tracked_first_anchor
+from fbmcss.channelizer import CascadeDetector, input_span, tracked_first_anchor
 from fbmcss.detector import DetectionConfig, cfo_grid, threshold
 from fbmcss.numerics import ComplexSignal
 
@@ -275,6 +276,87 @@ class TestOneReceiverPath:
         assert stats.size > 0
         assert anchors.tobytes() == want_anchors.tobytes()
         assert stats.tobytes() == want_stats.tobytes()
+
+
+def spied(monkeypatch, fn, *args):
+    """fn(*args), each _stats_over_grid call's arguments, the lengths pushed."""
+    calls, pushed = [], []
+    grid, push = harness._stats_over_grid, CascadeDetector.push
+
+    def spy_grid(*grid_args):
+        calls.append(grid_args)
+        return grid(*grid_args)
+
+    def spy_push(det, chunk):
+        pushed.append(len(chunk))
+        return push(det, chunk)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_stats_over_grid", spy_grid)
+        patch.setattr(CascadeDetector, "push", spy_push)
+        return fn(*args), calls, pushed
+
+
+class TestSlicedSignalTrial:
+    """A calibrated signal trial scores only the windows its hit test reads,
+    from a slice of each radio's stream; the full push is the oracle."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            tiny,
+            lambda: tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=2)),
+            lambda: tiny(detector=DetectionConfig(p=4, p_fa=1e-2, radios=4)),
+            lambda: tiny(cfo_range_hz=8e6),
+            lambda: tiny(channel_profile=every_section().channel_profile),
+            lambda: tiny(interference=every_section().interference),
+            lambda: dataclasses.replace(every_section(), known_noise=True),
+        ],
+        ids=["srb", "mrb2", "mrb4", "cfo", "multipath", "interference", "all"],
+    )
+    def test_read_windows_equal_full_push_bitwise(self, make, monkeypatch):
+        sc = make()
+        bundle = harness._bundle(sc)
+        radios = sc.detector.radios
+        # theory P_D = 0.5 without CFO search, so trials both hit and miss
+        eta = detector.eta_for_pd(1e-2, 2, 0.5, 8, L)
+        outcomes = set()
+        for trial in range(8):
+            hit, calls, pushed = spied(monkeypatch, harness._signal_trial, sc, eta, trial)
+            ((stream, _, _, n0, k0),) = calls
+            anchors, stats = harness._stats_over_grid(stream, bundle, sc, n0, k0)
+            full_anchors, full_stats = harness._stats_over_grid(stream, bundle, sc, n0)
+            read = np.abs(full_anchors - k0) <= sc.detector.p + L
+            assert np.count_nonzero(read) >= 2
+            assert anchors.tobytes() == full_anchors[read].tobytes()
+            assert stats.tobytes() == full_stats[read].tobytes()
+            assert hit == bool(np.any(full_stats[read] > bundle.thr))
+            outcomes.add(hit)
+            # each radio pushed only its span, and the span cuts the front;
+            # k0 is on the symbol lattice and p < L, so the read windows
+            # are k0 - L, k0 and k0 + L
+            start, stop = input_span(bundle.radio_cfgs[0], (k0 - L) // radios, (k0 + L) // radios)
+            sub_size = -(-stream.samples.size // L) * L // radios
+            assert start > 0
+            assert pushed == [min(stop, sub_size) - start] * (radios * bundle.grid_hz.size)
+        assert outcomes == {True, False}
+
+    def test_tracked_trial_pushes_whole_stream(self, monkeypatch):
+        sc = tiny(known_noise=False)
+        _, calls, pushed = spied(monkeypatch, harness._signal_trial, sc, -14.0, 0)
+        ((stream, *_),) = calls
+        assert pushed == [stream.samples.size]
+
+    def test_noise_trial_scores_every_window(self, monkeypatch):
+        sc = tiny()
+        eta = sc.snr_sweep_db[0]
+        (crossings, windows), calls, pushed = spied(monkeypatch, harness._noise_trial, sc, eta, 0)
+        # no packet start goes down, so the stream is pushed whole
+        ((stream, bundle, _, n0),) = calls
+        assert pushed == [stream.samples.size]
+        _, stats = CascadeDetector(bundle.cfg, power_override=np.full(L, n0)).push(stream.samples)
+        assert windows == stats.size > 0
+        assert crossings == np.count_nonzero(stats > bundle.thr)
 
 
 class TestSrbMrbPaired:
