@@ -83,14 +83,16 @@ class InterferenceConfig:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
+        if not math.isfinite(self.bandwidth_hz):
+            raise ValueError("bandwidth_hz must be finite")
         if self.count > 0 and not self.bandwidth_hz > 0.0:
             raise ValueError("bandwidth must be positive")
-        lo, hi = self.psd_above_noise_db_range
-        if lo > hi:
-            raise ValueError("psd range must satisfy low <= high")
-        lo, hi = self.band_edges_hz
-        if lo > hi:
-            raise ValueError("band edges must satisfy low <= high")
+        for label in ("psd_above_noise_db_range", "band_edges_hz"):
+            lo, hi = getattr(self, label)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{label} must be finite")
+            if lo > hi:
+                raise ValueError(f"{label} must satisfy low <= high")
 
 
 _LOS_K = 2.0  # deterministic-to-diffuse power ratio of the first tap

@@ -19,7 +19,6 @@ import numpy as np
 
 from .numerics import (
     chi2_tail_inv,
-    gaussian_q,
     gaussian_q_inv,
     noncentral_chi2_tail,
 )
@@ -31,12 +30,9 @@ __all__ = [
     "threshold",
     "rao_exact",
     "rao_low_complexity",
-    "noncentrality_srb",
-    "noncentrality_mrb",
     "noncentrality_at_eta",
     "theory_pd",
     "eta_for_pd",
-    "deflection_pd",
     "required_eta_db",
     "cfo_grid_span_hz",
     "cfo_grid",
@@ -184,27 +180,6 @@ def rao_low_complexity(y: np.ndarray, h: np.ndarray, phi_hat, beta: float) -> fl
     return float(2.0 / beta * np.sum(np.abs(u) ** 2))
 
 
-def noncentrality_srb(theta, phi, preamble_length: int, num_subbands: int) -> float:
-    """lambda = (2N/L) theta^H theta sum_k 1/Phi[k] (= 2 beta theta^H theta)."""
-    t = np.asarray(theta, dtype=np.complex128)
-    energy = float(np.sum(np.abs(t) ** 2))
-    if energy == 0.0:
-        return 0.0
-    return 2.0 * energy * compute_beta(phi, preamble_length, num_subbands)
-
-
-def noncentrality_mrb(theta_m, phi_m, preamble_length: int, bands_per_radio: int) -> float:
-    """lambda = (2N/K) sum_m theta_m^H theta_m sum_k 1/Phi_m[k]."""
-    thetas = list(theta_m)
-    phis = list(phi_m)
-    if len(thetas) != len(phis) or not thetas:
-        raise ValueError("need matching nonempty tap and PSD lists")
-    total = 0.0
-    for t, phi in zip(thetas, phis):
-        total += noncentrality_srb(t, phi, preamble_length, bands_per_radio)
-    return total
-
-
 def noncentrality_at_eta(eta_db: float, preamble_length: int, num_subbands: int) -> float:
     """White-noise lambda = 2 N L eta at chip SNR eta_db."""
     return 2.0 * preamble_length * num_subbands * 10.0 ** (eta_db / 10.0)
@@ -216,6 +191,17 @@ def theory_pd(p_fa: float, p: int, noncentrality: float, j_grid: int = 1) -> flo
         raise ValueError("noncentrality must be >= 0")
     gamma = threshold(p_fa, p, j_grid)
     return noncentral_chi2_tail(2 * p, noncentrality, gamma)
+
+
+def _bisect(below, lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi] after 200 halvings; below(x) says the root lies above x."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # eta_for_pd's bracket: deflection solution +- _BRACKET_DB, and at most
@@ -260,20 +246,7 @@ def eta_for_pd(
         step *= 2.0
     else:
         raise ValueError("target_pd out of reach for this configuration")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pd_at(mid) < target_pd:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def deflection_pd(p_fa: float, d2: float) -> float:
-    """Gaussian-approximation P_D = Q(Q^-1(P_FA) - sqrt(d2))."""
-    if d2 < 0.0:
-        raise ValueError("deflection must be >= 0")
-    return gaussian_q(gaussian_q_inv(p_fa) - math.sqrt(d2))
+    return _bisect(lambda eta_db: pd_at(eta_db) < target_pd, lo, hi)
 
 
 def required_eta_db(
@@ -441,16 +414,9 @@ def cfo_grid_span_hz(preamble_duration_s: float) -> float:
     if preamble_duration_s <= 0.0:
         raise ValueError("preamble duration must be positive")
     target = 10.0 ** (-_CFO_MAX_LOSS_DB / 20.0)
-    lo, hi = 0.0, math.pi  # half-offset phase across the preamble
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = math.sin(mid) / mid if mid > 0.0 else 1.0
-        if value > target:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    # u = pi * (df/2) * duration at the worst-case half-spacing offset
+    # u = pi * (df/2) * duration, the half-offset phase across the
+    # preamble at the worst-case half-spacing offset; no midpoint is 0
+    u = _bisect(lambda u: math.sin(u) / u > target, 0.0, math.pi)
     return 2.0 * u / (math.pi * preamble_duration_s)
 
 

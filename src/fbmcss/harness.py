@@ -9,10 +9,13 @@ scenario's SNR grid, persisting each finished point so an interrupted
 sweep resumes where it stopped and writing the curve as CSV next to a
 text copy of the scenario.
 
-A calibrated signal trial scores only the windows its hit test reads,
-those within p + L of the packet start: it pushes just the input span
-they depend on (channelizer.input_span), with the bytes a full push
-gives them.  Tracked trials and noise-only streams score every window.
+A signal trial reads only the windows within p + L of the packet
+start, and _stats_single alone defines them, for calibrated and tracked
+trials alike; a trial is a hit when any of them crosses the threshold.
+A calibrated trial pushes just the input span those windows depend on
+(channelizer.input_span), with the bytes a full push gives them; a
+tracked trial pushes its whole stream.  Noise-only streams score every
+window.
 
 Reproducibility contract: every random draw in a trial comes from a
 seed sequence keyed on (root_seed, SNR point key, stream tag, trial
@@ -296,11 +299,12 @@ def _stats_single(
 
     One cascade per radio over its L/M bands, statistics summed in radio
     order; known noise pins each whitener to N0/M.  M = 1 is the SRB case.
-    Given the packet start k0 of a calibrated trial, only the windows
-    within p + L of k0 are scored: each radio pushes the input_span of
-    its sub-stream, cut after the band split (one FFT of the whole
-    stream).  A tracked window reads the hops before it, so a tracked
-    stream is always pushed whole.
+    Given the packet start k0 of a signal trial, only the windows within
+    p + L of k0 are returned: this is the one definition of the windows
+    a trial reads, in both whitening modes.  With known noise each radio
+    pushes just the input_span of its sub-stream, cut after the band
+    split (one FFT of the whole stream); a tracked window reads the hops
+    before it, so a tracked stream is pushed whole.
     """
     radios = scenario.detector.radios
     l = bundle.wf.num_subbands
@@ -309,29 +313,29 @@ def _stats_single(
     if radios > 1:
         padded = np.concatenate([x, np.zeros((-x.size) % l, dtype=np.complex128)])
         subs = ideal_band_split(padded, l, radios)
-    sliced = k0 is not None and scenario.known_noise
     start = 0
-    if sliced:
+    if k0 is not None:
         reach = scenario.detector.p + l
         first = -(-(k0 - reach) // l) * l
         last = (k0 + reach) // l * l
-        # every radio config has the same sizes, so one span serves all
-        start, stop = input_span(bundle.radio_cfgs[0], first // radios, last // radios)
-        subs = [sub[start:stop] for sub in subs]
+        if scenario.known_noise:
+            start, stop = input_span(bundle.radio_cfgs[0], first // radios, last // radios)
+            subs = [sub[start:stop] for sub in subs]
+    # every radio config has the same sizes and every sub-stream the same
+    # length, so one span serves all radios and all score the same windows
     results = [
         CascadeDetector(cfg_m, power_override=override).push(sub)
         for cfg_m, sub in zip(bundle.radio_cfgs, subs)
     ]
-    count = min(a.size for a, _ in results)
     # added from the first radio's array on: a sum from +0.0 would
     # turn a -0.0 statistic into +0.0
-    combined = results[0][1][:count]
+    combined = results[0][1]
     for _, stats_m in results[1:]:
-        combined = combined + stats_m[:count]
-    anchors = (results[0][0][:count] + start) * radios
-    if not sliced:
+        combined = combined + stats_m
+    anchors = (results[0][0] + start) * radios
+    if k0 is None:
         return anchors, combined
-    # windows before first had silence for history in the slice
+    # the read windows; a sliced stream's earlier ones had silence for history
     keep = (anchors >= first) & (anchors <= last)
     return anchors[keep], combined[keep]
 
@@ -348,8 +352,7 @@ def _stats_over_grid(
     for df in bundle.grid_hz:
         x = stream if df == 0.0 else apply_cfo(stream, -df)
         results.append(_stats_single(x.samples, bundle, scenario, noise_psd, k0))
-    n = min(s.size for _, s in results)
-    return results[0][0][:n], np.max([s[:n] for _, s in results], axis=0)
+    return results[0][0], np.max([s for _, s in results], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +386,6 @@ def _calibration_taps(scenario: Scenario, channel: ChannelRealization, bundle: _
 def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
     bundle = _bundle(scenario)
     wf = bundle.wf
-    det = scenario.detector
     rng = _trial_rng(scenario, eta_db, _TAG_SIGNAL, trial)
 
     if scenario.channel_profile is not None:
@@ -410,9 +412,8 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)
 
-    anchors, stats = _stats_over_grid(stream, bundle, scenario, n0, k0)
-    hits = (stats > bundle.thr) & (np.abs(anchors - k0) <= det.p + l)
-    return bool(np.any(hits))
+    _, stats = _stats_over_grid(stream, bundle, scenario, n0, k0)
+    return bool(np.any(stats > bundle.thr))
 
 
 def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, int]:
@@ -484,10 +485,11 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     """Score one SNR point: signal trials, noise-only windows, theory.
 
     A trial counts as a detection when some window statistic crosses
-    the threshold and that window's anchor lies within p + L samples of
-    the true packet start.  With known noise only those windows are
-    scored.  False alarms are counted on separate noise-only streams at
-    the same settings, every window of them.
+    the threshold among the windows it reads: those whose anchor lies
+    within p + L samples of the true packet start, as _stats_single
+    defines them in both whitening modes.  With known noise only those
+    windows are scored.  False alarms are counted on separate noise-only
+    streams at the same settings, every window of them.
 
     p_d_theory is the law of the one window aligned with the packet.
     The empirical count takes any window within +-(p + L) of the start,

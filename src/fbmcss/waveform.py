@@ -18,6 +18,7 @@ which is what lets the detector treat channel taps at different lags as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "SpreadingCode",
     "WaveformConfig",
     "WaveformSpec",
-    "LinearModelSpec",
     "design_prototype_filter",
     "make_spreading_code",
     "make_preamble_symbols",
@@ -136,27 +136,6 @@ class WaveformConfig:
         """Band centers in cycles per sample: (2k - L - 1) / (2L)."""
         l = self.num_subbands
         return (2.0 * np.arange(l) - l - 1.0) / (2.0 * l)
-
-
-@dataclass(frozen=True)
-class LinearModelSpec:
-    """Shape of the dense observation model: NL samples, p unknown taps."""
-
-    preamble_symbols: np.ndarray
-    num_subbands: int
-    delay_spread_taps: int
-
-    def __post_init__(self):
-        s = np.asarray(self.preamble_symbols, dtype=np.complex128)
-        object.__setattr__(self, "preamble_symbols", s)
-        if s.size == 0:
-            raise ValueError("preamble_symbols must be nonempty")
-        if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
-            raise ValueError("preamble symbols must be unit modulus")
-        if self.delay_spread_taps < 1:
-            raise ValueError("delay_spread_taps must be >= 1")
-        if not self.delay_spread_taps < self.num_subbands:
-            raise ValueError("delay_spread_taps must be < num_subbands")
 
 
 def _srrc_taps(samples_per_symbol: int, span_symbols: int, rolloff: float) -> np.ndarray:
@@ -312,6 +291,10 @@ class WaveformSpec:
     sign_seed: int = 0
     symbol_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.symbol_duration_s < math.inf:
+            raise ValueError("symbol_duration_s must be positive and finite")
+
     def build(self) -> WaveformConfig:
         return WaveformConfig(
             num_subbands=self.num_subbands,
@@ -322,10 +305,6 @@ class WaveformSpec:
             code=make_spreading_code(self.num_subbands, self.sign_seed),
             preamble_symbols=make_preamble_symbols(self.preamble_length, self.symbol_seed),
         )
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.num_subbands / self.symbol_duration_s
 
     @property
     def preamble_duration_s(self) -> float:
@@ -385,16 +364,22 @@ def generate_preamble(config: WaveformConfig) -> ComplexSignal:
     return ComplexSignal(np.convolve(up, g), config.sample_rate_hz)
 
 
-def build_data_matrix(spec: LinearModelSpec) -> np.ndarray:
+def build_data_matrix(symbols, num_subbands: int, p: int) -> np.ndarray:
     """Dense observation matrix: column l is s upsampled by L, delayed l.
 
     Kronecker structure s (x) [I_p; 0] gives an NL x p matrix whose
     columns are exactly orthogonal with squared norm N for unit-modulus
-    symbols.  Oracle use only; the streaming path never materializes it.
+    symbols, 1 <= p < L.  Oracle use only; the streaming path never
+    materializes it.
     """
-    s = spec.preamble_symbols
-    l = spec.num_subbands
-    p = spec.delay_spread_taps
+    s = np.asarray(symbols, dtype=np.complex128)
+    if s.size == 0:
+        raise ValueError("symbols must be nonempty")
+    if np.max(np.abs(np.abs(s) - 1.0)) > 1e-12:
+        raise ValueError("symbols must be unit modulus")
+    if not 1 <= p < num_subbands:
+        raise ValueError("p must satisfy 1 <= p < num_subbands")
+    l = num_subbands
     pad = np.zeros((l, p), dtype=np.complex128)
     pad[:p, :p] = np.eye(p)
     return np.kron(s.reshape(-1, 1), pad)

@@ -35,7 +35,6 @@ from fbmcss.channelizer import (
 from fbmcss.detector import compute_beta, rao_low_complexity, threshold
 from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import (
-    LinearModelSpec,
     WaveformSpec,
     build_data_matrix,
     generate_preamble,
@@ -696,8 +695,7 @@ class TestSynthesis:
 
 class TestMatchedFilterBank:
     def test_dense_columns_hit_single_branches(self, wf, cfg):
-        spec = LinearModelSpec(wf.preamble_symbols, L, P)
-        dense = build_data_matrix(spec)
+        dense = build_data_matrix(wf.preamble_symbols, L, P)
         for col in range(P):
             window = np.zeros(N * L + 4 * L, dtype=np.complex128)
             window[: N * L] = dense[:, col]
@@ -707,8 +705,7 @@ class TestMatchedFilterBank:
             assert np.max(np.abs(others)) < 1e-9
 
     def test_matches_dense_inner_products(self, wf, cfg):
-        spec = LinearModelSpec(wf.preamble_symbols, L, P)
-        dense = build_data_matrix(spec)
+        dense = build_data_matrix(wf.preamble_symbols, L, P)
         rng = np.random.default_rng(3)
         y = rng.standard_normal((N + 6) * L) + 1j * rng.standard_normal((N + 6) * L)
         branches = matched_filter_bank(residue_block(y, P), cfg, mf_state(cfg))
@@ -774,7 +771,7 @@ def null_scores(cfg):
 
 @pytest.fixture(scope="module")
 def dense(wf):
-    return build_data_matrix(LinearModelSpec(wf.preamble_symbols, L, P))
+    return build_data_matrix(wf.preamble_symbols, L, P)
 
 
 class TestNullCalibration:

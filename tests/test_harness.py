@@ -2,9 +2,10 @@
 that do not depend on worker count or resuming, refusal of foreign point
 state, theory inside the Wilson interval, the scenario text format, the
 values a scenario computes (CFO grid, threshold), the noise window count,
-the single-radio receiver as the one-radio case of the radio loop, calibrated
-signal trials that push only the input their read windows depend on, the CFO
-search, the stream lead against the tracked warm-up, and the presets'
+the single-radio receiver as the one-radio case of the radio loop, the
+windows a signal trial reads (those within p + L of the packet start, in
+both whitening modes; a calibrated trial pushes only the input they depend
+on), the CFO search, the stream lead against the tracked warm-up, and the presets'
 placed SNR sweeps and fingerprints."""
 
 import dataclasses
@@ -209,6 +210,13 @@ class TestScenarioText:
             ("channel_profile.target_95pct_duration_ns", "inf"),
             ("channel_profile.decay_constant_ns", "inf"),
             ("channel_profile.tap_spacing_ns", "inf"),
+            ("interference.psd_above_noise_db_range", "3.0, nan"),
+            ("interference.psd_above_noise_db_range", "-inf, 9.5"),
+            ("interference.band_edges_hz", "nan, 2e8"),
+            ("interference.band_edges_hz", "-2e8, inf"),
+            ("interference.bandwidth_hz", "inf"),
+            ("interference.bandwidth_hz", "nan"),
+            ("waveform.symbol_duration_s", "inf"),
         ],
     )
     def test_non_finite_value_refused(self, key, value):
@@ -298,8 +306,9 @@ def spied(monkeypatch, fn, *args):
 
 
 class TestSlicedSignalTrial:
-    """A calibrated signal trial scores only the windows its hit test reads,
-    from a slice of each radio's stream; the full push is the oracle."""
+    """A signal trial reads only the windows within p + L of k0; a calibrated
+    one scores just those, from a slice of each radio's stream.  The full
+    push is the oracle."""
 
     @pytest.mark.parametrize(
         "make",
@@ -339,6 +348,27 @@ class TestSlicedSignalTrial:
             sub_size = -(-stream.samples.size // L) * L // radios
             assert start > 0
             assert pushed == [min(stop, sub_size) - start] * (radios * bundle.grid_hz.size)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("radios", [1, 2], ids=["srb", "mrb2"])
+    def test_tracked_trial_reads_only_its_windows(self, radios, monkeypatch):
+        # the read windows are defined once, for tracked trials too: those
+        # of a full push within p + L of k0, and the outcome is theirs
+        sc = tiny(known_noise=False, detector=DetectionConfig(p=2, p_fa=1e-2, radios=radios))
+        bundle = harness._bundle(sc)
+        eta = detector.eta_for_pd(1e-2, 2, 0.5, 8, L)
+        outcomes = set()
+        for trial in range(8):
+            hit, calls, _ = spied(monkeypatch, harness._signal_trial, sc, eta, trial)
+            ((stream, _, _, n0, k0),) = calls
+            anchors, stats = harness._stats_over_grid(stream, bundle, sc, n0, k0)
+            full_anchors, full_stats = harness._stats_over_grid(stream, bundle, sc, n0)
+            read = np.abs(full_anchors - k0) <= sc.detector.p + L
+            assert np.count_nonzero(read) >= 2
+            assert anchors.tobytes() == full_anchors[read].tobytes()
+            assert stats.tobytes() == full_stats[read].tobytes()
+            assert hit == bool(np.any(full_stats[read] > bundle.thr))
+            outcomes.add(hit)
         assert outcomes == {True, False}
 
     def test_tracked_trial_pushes_whole_stream(self, monkeypatch):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from fbmcss.waveform import (
-    LinearModelSpec,
     PrototypeFilter,
     SpreadingCode,
     WaveformConfig,
@@ -254,28 +253,21 @@ class TestGeneratePreamble:
 
 class TestBuildDataMatrix:
     def test_small_explicit(self):
-        spec = LinearModelSpec(
-            preamble_symbols=np.array([1.0 + 0j, -1.0 + 0j]),
-            num_subbands=4,
-            delay_spread_taps=2,
-        )
-        mat = build_data_matrix(spec)
+        mat = build_data_matrix(np.array([1.0 + 0j, -1.0 + 0j]), num_subbands=4, p=2)
         assert mat.shape == (8, 2)
         assert np.array_equal(mat[:, 0], np.array([1, 0, 0, 0, -1, 0, 0, 0]))
         assert np.array_equal(mat[:, 1], np.array([0, 1, 0, 0, 0, -1, 0, 0]))
 
     def test_orthogonal_columns(self):
         s = make_preamble_symbols(8, symbol_seed=4)
-        spec = LinearModelSpec(s, num_subbands=16, delay_spread_taps=5)
-        mat = build_data_matrix(spec)
+        mat = build_data_matrix(s, num_subbands=16, p=5)
         gram = mat.conj().T @ mat
         assert np.allclose(gram, 8 * np.eye(5), atol=1e-12)
 
     def test_column_dtft_magnitude(self):
         # unitary DFT of column l tiles |DFT(s)| across the L-fold grid
         s = make_preamble_symbols(8, symbol_seed=11)
-        spec = LinearModelSpec(s, num_subbands=4, delay_spread_taps=3)
-        mat = build_data_matrix(spec)
+        mat = build_data_matrix(s, num_subbands=4, p=3)
         s_mag = np.abs(np.fft.fft(s, norm="ortho"))
         for col in range(3):
             col_mag = np.abs(np.fft.fft(mat[:, col], norm="ortho"))
@@ -285,9 +277,9 @@ class TestBuildDataMatrix:
     def test_p_bounds(self):
         s = np.ones(4, dtype=complex)
         with pytest.raises(ValueError):
-            LinearModelSpec(s, num_subbands=4, delay_spread_taps=4)
+            build_data_matrix(s, num_subbands=4, p=4)
         with pytest.raises(ValueError):
-            LinearModelSpec(s, num_subbands=4, delay_spread_taps=0)
+            build_data_matrix(s, num_subbands=4, p=0)
 
 
 class TestConfigValidation:
