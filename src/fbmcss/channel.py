@@ -93,6 +93,9 @@ class InterferenceConfig:
                 raise ValueError(f"{label} must be finite")
             if lo > hi:
                 raise ValueError(f"{label} must satisfy low <= high")
+        lo_edge, hi_edge = self.band_edges_hz
+        if self.count > 0 and self.bandwidth_hz > hi_edge - lo_edge:
+            raise ValueError("interferer bandwidth exceeds the band edges")
 
 
 _LOS_K = 2.0  # deterministic-to-diffuse power ratio of the first tap
@@ -154,7 +157,12 @@ def effective_taps(
 
 
 def apply_channel(signal: ComplexSignal, channel: ChannelRealization) -> ComplexSignal:
-    """Superpose delayed scaled copies; delays snap to the nearest sample."""
+    """Superpose delayed scaled copies; delays snap to the nearest sample.
+
+    One multiply-add per tap over the whole signal, so it is meant for
+    short ones: the harness filters the spread pulse with it and builds
+    the received preamble from that with waveform.generate_preamble.
+    """
     shifts = np.rint(channel.delays_s * signal.sample_rate_hz).astype(np.int64)
     out = np.zeros(len(signal) + int(shifts.max()), dtype=np.complex128)
     for shift, gain in zip(shifts, channel.gains):
@@ -189,8 +197,6 @@ def add_interference(
         return signal
     fs = signal.sample_rate_hz
     lo_edge, hi_edge = cfg.band_edges_hz
-    if cfg.bandwidth_hz > hi_edge - lo_edge:
-        raise ValueError("interferer bandwidth exceeds the passband")
     if hi_edge - lo_edge > fs:
         raise ValueError("band edges exceed the sampled bandwidth")
     rng = np.random.default_rng(seed)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import waveform
 from .channel import (
     ChannelRealization,
     DelaySpreadProfile,
@@ -137,6 +138,10 @@ class Scenario:
             raise ValueError("radio count must divide the subband count")
         if not 0.0 <= self.cfo_range_hz < math.inf:
             raise ValueError("cfo_range_hz must be >= 0 and finite")
+        if self.interference is not None:
+            lo, hi = self.interference.band_edges_hz
+            if hi - lo > self.waveform.num_subbands / self.waveform.symbol_duration_s:
+                raise ValueError("interference band edges exceed the sample rate")
 
     @property
     def cfo_grid_hz(self) -> np.ndarray:
@@ -194,6 +199,7 @@ class _Bundle:
 
     wf: WaveformConfig
     cfg: ChannelizerConfig
+    pulse: ComplexSignal
     tx: ComplexSignal
     rho: ComplexSignal
     radio_cfgs: tuple[ChannelizerConfig, ...]
@@ -246,11 +252,14 @@ def _bundle(scenario: Scenario) -> _Bundle:
     # matched-seed comparisons of the two whitening modes stay aligned
     lead_lo = warmup // l + 2
     trail = 2 * wf.prototype.span_symbols * l + 2 * l
+    # called through its module, so a wrapper put there sees the call
+    pulse = waveform.synthesize_pulse(wf)
     built = _Bundle(
         wf=wf,
         cfg=cfg,
-        tx=generate_preamble(wf),
-        rho=composite_pulse(wf),
+        pulse=pulse,
+        tx=generate_preamble(wf, pulse),
+        rho=composite_pulse(wf, pulse),
         radio_cfgs=radio_cfgs,
         thr=threshold(det.p_fa, det.p, grid_hz.size),
         lead_symbols_lo=lead_lo,
@@ -390,7 +399,8 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
 
     if scenario.channel_profile is not None:
         channel = generate_multipath(scenario.channel_profile, seed=_draw_seed(rng))
-        rx = apply_channel(bundle.tx, channel)
+        # the channel filters the short pulse; the train is then rebuilt
+        rx = generate_preamble(wf, apply_channel(bundle.pulse, channel))
     else:
         channel = _unit_channel()
         rx = bundle.tx
@@ -500,6 +510,8 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     det = scenario.detector
     wf = scenario.waveform
     trials = scenario.trials_per_point
+    # built before any pool, so forked workers inherit it
+    _bundle(scenario)
     detections = sum(_map_trials(_signal_trial, scenario, eta_db, range(trials), workers))
     crossings, windows = measure_false_alarm(scenario, eta_db, workers=workers)
     lam = noncentrality_at_eta(eta_db, wf.preamble_length, wf.num_subbands)

@@ -115,8 +115,8 @@ class WaveformConfig:
             raise ValueError("num_subbands must be >= 2")
         if s.ndim != 1 or s.size == 0:
             raise ValueError("preamble_symbols must be a nonempty vector")
-        if not self.symbol_duration_s > 0.0:
-            raise ValueError("symbol_duration_s must be positive")
+        if not 0.0 < self.symbol_duration_s < math.inf:
+            raise ValueError("symbol_duration_s must be positive and finite")
         if self.prototype.samples_per_symbol != self.num_subbands:
             raise ValueError("prototype rate must equal num_subbands")
         if len(self.code) != self.num_subbands:
@@ -323,45 +323,81 @@ def pulse_origin_index(prototype: PrototypeFilter) -> int:
 def synthesize_pulse(config: WaveformConfig) -> ComplexSignal:
     """Sum the L modulated prototype copies into the spread pulse g[n].
 
-    The subcarrier phase reference is the pulse center, so the quadrature
-    relation between adjacent bands holds where the envelope is largest.
+    g[t] = h[t] sum_k gamma_k e^{j 2 pi nu_k (t - c)}, with the phase
+    reference c at the pulse center, so the quadrature relation between
+    adjacent bands holds where the envelope is largest.  Since
+    nu_k = k/L - (L+1)/(2L), the band sum is L * ifft(gamma) read at
+    (t - c) mod L times the ramp e^{-j pi (L+1)(t - c)/L}, whose phase is
+    reduced exactly in integers mod 2L: O(L log L + span*L) work and
+    memory.  An odd span*L puts c between samples; that half-sample
+    delay is folded into the gains.
     """
     h = config.prototype.taps
-    n = h.size
-    c = (n - 1) / 2.0
-    t = np.arange(n) - c
-    nu = config.normalized_frequencies()
-    # bands x time phase table; gains fold the j^k stagger in
-    basis = np.exp(2j * np.pi * np.outer(nu, t))
-    g = (config.code.gains @ basis) * h
-    return ComplexSignal(g, config.sample_rate_hz)
+    l = config.num_subbands
+    gains = config.code.gains
+    d = np.arange(h.size) - (h.size - 1) // 2
+    if (h.size - 1) % 2:
+        gains = gains * np.exp(-1j * np.pi * config.normalized_frequencies())
+    band_sum = l * np.fft.ifft(gains)
+    ramp = np.exp(-1j * np.pi / l * ((l + 1) * d % (2 * l)))
+    return ComplexSignal(band_sum[d % l] * ramp * h, config.sample_rate_hz)
 
 
-def composite_pulse(config: WaveformConfig) -> ComplexSignal:
+def composite_pulse(config: WaveformConfig, pulse: ComplexSignal | None = None) -> ComplexSignal:
     """Autocorrelation rho = g conv g*(-t); lag 0 at array center.
 
     rho sampled at T_s has length 2*span*L + 1 with rho[center] equal to
     the pulse energy; the Nyquist claim is that all other lags within
     the span stay below 1% of that peak when the j^k stagger is present.
+    Computed as the inverse FFT of |G|^2 at a power-of-two length that
+    leaves no lag wrapped.  `pulse` is g when the caller already holds
+    it (synthesize_pulse(config) otherwise).
     """
-    g = synthesize_pulse(config).samples
-    rho = np.convolve(g, np.conj(g[::-1]))
+    g = (synthesize_pulse(config) if pulse is None else pulse).samples
+    nfft = 1 << (2 * g.size - 2).bit_length()
+    spec = np.fft.fft(g, nfft)
+    # r[k] = sum_m g[m + k] g*[m]; negative lags sit at the end
+    r = np.fft.ifft(spec.real**2 + spec.imag**2)
+    rho = np.concatenate([r[nfft - g.size + 1 :], r[: g.size]])
     return ComplexSignal(rho, config.sample_rate_hz)
 
 
-def generate_preamble(config: WaveformConfig) -> ComplexSignal:
-    """Superpose symbol-shifted pulses: sum_n s[n] g(t - n T_b).
+def _symbol_train(symbols: np.ndarray, q: np.ndarray, l: int) -> np.ndarray:
+    """sum_n s[n] q[t - n*l], (N - 1)*l + len(q) samples, as one block product.
 
-    Output length is (N + span - 1)*L + 1 samples at rate L/T_b.  Sample
-    index span*L/2 (see pulse_origin_index) is the peak of the first
-    pulse and serves as the time origin for delay bookkeeping.
+    The polyphase form (Vaidyanathan, Multirate Systems and Filter Banks,
+    1993): cut q into R = ceil(len(q)/l) rows of l samples; output row m
+    (samples m*l .. m*l + l - 1) is sum_r s[m - r] q_r, so the whole
+    train is the (N + R - 1) x R Toeplitz matrix of the symbols times
+    the R x l block of q.
     """
-    g = synthesize_pulse(config).samples
-    l = config.num_subbands
-    s = config.preamble_symbols
-    up = np.zeros((s.size - 1) * l + 1, dtype=np.complex128)
-    up[::l] = s
-    return ComplexSignal(np.convolve(up, g), config.sample_rate_hz)
+    rows = -(-q.size // l)
+    block = np.zeros((rows, l), dtype=np.complex128)
+    block.ravel()[: q.size] = q
+    pad = np.zeros(rows - 1, dtype=np.complex128)
+    # row m of the windows, reversed, is s[m], s[m - 1], ..., s[m - R + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, symbols, pad]), rows)
+    return (windows[:, ::-1] @ block).ravel()[: (symbols.size - 1) * l + q.size]
+
+
+def generate_preamble(config: WaveformConfig, pulse: ComplexSignal | None = None) -> ComplexSignal:
+    """Superpose symbol-shifted pulses: sum_n s[n] q(t - n T_b).
+
+    q is the spread pulse g (synthesize_pulse) unless `pulse` gives it.
+    Passing g through a channel first, apply_channel(g, c), gives the
+    received preamble: the channel is linear and time invariant, so
+    filtering the short pulse equals filtering the whole preamble.
+    Output length is (N - 1)*L + len(q) samples at rate L/T_b, which is
+    (N + span - 1)*L + 1 for g.  Sample index span*L/2 (see
+    pulse_origin_index) is the peak of the first pulse and serves as
+    the time origin for delay bookkeeping.
+    """
+    if pulse is None:
+        pulse = synthesize_pulse(config)
+    elif pulse.sample_rate_hz != config.sample_rate_hz:
+        raise ValueError("pulse sample rate must equal the waveform's")
+    train = _symbol_train(config.preamble_symbols, pulse.samples, config.num_subbands)
+    return ComplexSignal(train, config.sample_rate_hz)
 
 
 def build_data_matrix(symbols, num_subbands: int, p: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from fbmcss.channel import (
     noise_psd_from_eta,
 )
 from fbmcss.numerics import ComplexSignal
-from fbmcss.waveform import WaveformSpec, composite_pulse, synthesize_pulse
+from fbmcss.waveform import WaveformSpec, composite_pulse, generate_preamble, synthesize_pulse
 
 L = 16
 DURATION_REL = 0.15  # ensemble-mean 95% duration vs the profile target
@@ -140,6 +140,19 @@ class TestApplyChannel:
         oracle = np.convolve(g.samples, fir)
         assert np.max(np.abs(out.samples - oracle)) < 1e-9
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_pulse_first_equals_preamble_first(self, seed):
+        # the received preamble built from the filtered pulse, as the
+        # harness builds it, against the whole preamble through the channel
+        fs = 500e6
+        wf = WaveformSpec(256, 12, 256 / fs, sign_seed=seed, symbol_seed=seed).build()
+        channel = generate_multipath(DelaySpreadProfile(False, 80.0, 27.0), seed=seed)
+        assert channel.gains.size > 50
+        want = apply_channel(generate_preamble(wf), channel).samples
+        got = generate_preamble(wf, apply_channel(synthesize_pulse(wf), channel)).samples
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestAddAwgn:
     def test_eta_calibration_formula(self):
@@ -190,10 +203,19 @@ class TestAddInterference:
         assert bump_db >= 35.0
 
     def test_bandwidth_validation(self):
+        # band edges wider than the stream's sampled bandwidth
         sig = ComplexSignal(np.ones(128, dtype=complex), 1e6)
-        cfg = InterferenceConfig(1, 2e6, (5.0, 40.0), (-4e5, 4e5))
-        with pytest.raises(ValueError):
+        cfg = InterferenceConfig(1, 2e5, (5.0, 40.0), (-8e5, 8e5))
+        with pytest.raises(ValueError, match="band edges exceed the sampled bandwidth"):
             add_interference(sig, cfg, noise_psd=1.0, seed=0)
+
+
+    def test_bandwidth_past_band_edges_refused_at_construction(self):
+        with pytest.raises(ValueError, match="bandwidth exceeds the band edges"):
+            InterferenceConfig(1, 2e6, (5.0, 40.0), (-4e5, 4e5))
+        # as wide as the edges, or no interferers at all, is accepted
+        InterferenceConfig(1, 8e5, (5.0, 40.0), (-4e5, 4e5))
+        InterferenceConfig(0, 2e6, (5.0, 40.0), (-4e5, 4e5))
 
 
 class TestApplyCfo:

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,13 @@ class TestComputedValues:
             with pytest.raises(ValueError, match="cfo_range_hz"):
                 tiny(cfo_range_hz=value)
 
+    def test_interference_edges_past_sample_rate_refused(self):
+        # tiny samples at 500 MHz; refused before run_curve writes anything
+        wide = InterferenceConfig(1, 5e6, (3.0, 9.5), (-2.6e8, 2.6e8))
+        with pytest.raises(ValueError, match="band edges exceed the sample rate"):
+            tiny(interference=wide)
+        tiny(interference=dataclasses.replace(wide, band_edges_hz=(-2.4e8, 2.4e8)))
+
     def test_radio_count_must_divide_subbands(self):
         with pytest.raises(ValueError, match="radio count must divide"):
             tiny(detector=DetectionConfig(p=3, p_fa=1e-2, radios=3))
@@ -433,6 +441,38 @@ class TestCfoSearch:
 
 
 class TestBundle:
+    def test_point_builds_bundle_before_any_pool(self, monkeypatch):
+        sc = tiny(trials_per_point=4)
+        harness._BUNDLES.clear()
+        seen = []
+        map_trials = harness._map_trials
+
+        def recording(fn, scenario, eta_db, indices, workers):
+            seen.append(scenario in harness._BUNDLES)
+            return map_trials(fn, scenario, eta_db, indices, workers)
+
+        monkeypatch.setattr(harness, "_map_trials", recording)
+        harness.run_point(sc, sc.snr_sweep_db[0], workers=2)
+        assert seen and all(seen)
+        assert sc in harness._BUNDLES
+
+    def test_wideband_short_bundle_memory(self):
+        # L = 4096, 8 radios: the build holds little more than its arrays
+        sc = cached_preset("wideband_short")
+        harness._BUNDLES.clear()
+        tracemalloc.start()
+        try:
+            bundle = harness._bundle(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            harness._BUNDLES.clear()
+        wf = bundle.wf
+        span = wf.prototype.span_symbols
+        assert len(bundle.tx) == (wf.preamble_length + span - 1) * 4096 + 1
+        assert len(bundle.rho) == 2 * span * 4096 + 1
+        assert peak <= 200 * 2**20
+
     def test_lead_starts_past_tracked_warmup(self):
         bundle = harness._bundle(tiny())
         rng = np.random.default_rng(3)

@@ -3,12 +3,14 @@
 The load-bearing claims here are the Nyquist property of the composite
 pulse (with an explicit control showing the j^k stagger is what makes
 it hold) and the spectral flatness of the spread pulse.  Oracles are
-direct convolutions and direct summation formulas written out inline.
+direct convolutions and direct summation formulas written out inline,
+and the bands x time phase table the IFFT pulse synthesis replaced.
 """
 
 import numpy as np
 import pytest
 
+from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import (
     PrototypeFilter,
     SpreadingCode,
@@ -113,7 +115,29 @@ class TestSpreadingCode:
             SpreadingCode(np.ones((2, 2)))
 
 
+def phase_table_pulse(config: WaveformConfig) -> np.ndarray:
+    """g[t] = h[t] sum_k gamma_k e^{j 2 pi nu_k (t - c)}, one table row per band."""
+    h = config.prototype.taps
+    t = np.arange(h.size) - (h.size - 1) / 2.0
+    basis = np.exp(2j * np.pi * np.outer(config.normalized_frequencies(), t))
+    return (config.code.gains @ basis) * h
+
+
+def max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# (L, span): an even and an odd count of samples between the pulse ends
+ORACLE_SIZES = [(2, 4), (16, 8), (64, 8), (256, 8), (15, 5)]
+
+
 class TestSynthesizePulse:
+    @pytest.mark.parametrize("l,span", ORACLE_SIZES)
+    def test_matches_phase_table(self, l, span):
+        cfg = WaveformSpec(l, 1, 1.0, span_symbols=span, sign_seed=4).build()
+        assert max_rel_error(synthesize_pulse(cfg).samples, phase_table_pulse(cfg)) <= 1e-12
+
     def test_two_band_direct_sum(self):
         # definition at tiny size: g[n] = sum_k gamma_k h[n] e^{j2pi f_k n T_s}
         # (span is a multiple of 4, so the center-referenced phases used
@@ -189,6 +213,16 @@ class TestCompositePulse:
             sidelobe = np.max(np.abs(np.delete(rho, center)))
             assert sidelobe < SIDELOBE_REL * peak
 
+    @pytest.mark.parametrize("l,span", ORACLE_SIZES)
+    def test_matches_direct_convolution(self, l, span):
+        cfg = WaveformSpec(l, 1, 1.0, span_symbols=span, sign_seed=6).build()
+        g = synthesize_pulse(cfg).samples
+        oracle = np.convolve(g, np.conj(g[::-1]))
+        assert max_rel_error(composite_pulse(cfg).samples, oracle) <= 1e-12
+        # the pulse a caller already holds gives the same bytes
+        rho = composite_pulse(cfg, synthesize_pulse(cfg)).samples
+        assert rho.tobytes() == composite_pulse(cfg).samples.tobytes()
+
     def test_no_stagger_control_fails(self, prototype):
         # regression guard: with gamma_k = zeta_k (no j^k) the same
         # autocorrelation oracle must violate the Nyquist bound
@@ -230,6 +264,33 @@ class TestGeneratePreamble:
         direct[: g.size] += g
         direct[L : L + g.size] -= g
         assert np.max(np.abs(pre - direct)) < 1e-12
+
+    @pytest.mark.parametrize("l,span", ORACLE_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 9, 33])
+    def test_matches_upsampled_convolution(self, l, span, n):
+        cfg = WaveformSpec(l, n, 1.0, span_symbols=span, sign_seed=1, symbol_seed=n).build()
+        g = synthesize_pulse(cfg).samples
+        up = np.zeros((n - 1) * l + 1, dtype=complex)
+        up[::l] = cfg.preamble_symbols
+        assert max_rel_error(generate_preamble(cfg).samples, np.convolve(up, g)) <= 1e-12
+
+    def test_any_pulse_length(self, config):
+        # pulses shorter than a symbol, a whole number of symbols, and one
+        # sample past that: sum_n s[n] q[t - nL] by direct superposition
+        s = config.preamble_symbols
+        rng = np.random.default_rng(12)
+        for size in (1, L - 3, 2 * L, 2 * L + 1):
+            q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            pre = generate_preamble(config, ComplexSignal(q, config.sample_rate_hz)).samples
+            direct = np.zeros((s.size - 1) * L + size, dtype=complex)
+            for k, sym in enumerate(s):
+                direct[k * L : k * L + size] += sym * q
+            assert max_rel_error(pre, direct) <= 1e-12
+
+    def test_pulse_at_another_rate_refused(self, config):
+        g = synthesize_pulse(config)
+        with pytest.raises(ValueError, match="pulse sample rate"):
+            generate_preamble(config, ComplexSignal(g.samples, 2 * g.sample_rate_hz))
 
     def test_length_and_origin(self, config):
         pre = generate_preamble(config)
@@ -304,6 +365,17 @@ class TestConfigValidation:
                     code=make_spreading_code(L, sign_seed=1),
                     preamble_symbols=np.asarray(bad),
                 )
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, np.inf, np.nan])
+    def test_symbol_duration_must_be_positive_and_finite(self, prototype, duration):
+        with pytest.raises(ValueError, match="symbol_duration_s must be positive and finite"):
+            WaveformConfig(
+                num_subbands=L,
+                symbol_duration_s=duration,
+                prototype=prototype,
+                code=make_spreading_code(L, sign_seed=1),
+                preamble_symbols=np.array([1.0 + 0j]),
+            )
 
     def test_subcarrier_frequencies(self, config):
         nu = config.normalized_frequencies()
