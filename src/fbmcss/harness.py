@@ -138,9 +138,9 @@ class Scenario:
             raise ValueError("radio count must divide the subband count")
         if not 0.0 <= self.cfo_range_hz < math.inf:
             raise ValueError("cfo_range_hz must be >= 0 and finite")
-        if self.interference is not None:
+        if self.interference is not None and self.interference.count > 0:
             lo, hi = self.interference.band_edges_hz
-            if hi - lo > self.waveform.num_subbands / self.waveform.symbol_duration_s:
+            if hi - lo > self.waveform.sample_rate_hz:
                 raise ValueError("interference band edges exceed the sample rate")
 
     @property
@@ -259,7 +259,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
         cfg=cfg,
         pulse=pulse,
         tx=generate_preamble(wf, pulse),
-        rho=composite_pulse(wf, pulse),
+        rho=composite_pulse(wf),
         radio_cfgs=radio_cfgs,
         thr=threshold(det.p_fa, det.p, grid_hz.size),
         lead_symbols_lo=lead_lo,

@@ -310,6 +310,10 @@ class WaveformSpec:
     def preamble_duration_s(self) -> float:
         return self.preamble_length * self.symbol_duration_s
 
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.num_subbands / self.symbol_duration_s
+
 
 def pulse_origin_index(prototype: PrototypeFilter) -> int:
     """Array index of symbol time zero inside the synthesized pulse.
@@ -343,17 +347,16 @@ def synthesize_pulse(config: WaveformConfig) -> ComplexSignal:
     return ComplexSignal(band_sum[d % l] * ramp * h, config.sample_rate_hz)
 
 
-def composite_pulse(config: WaveformConfig, pulse: ComplexSignal | None = None) -> ComplexSignal:
+def composite_pulse(config: WaveformConfig) -> ComplexSignal:
     """Autocorrelation rho = g conv g*(-t); lag 0 at array center.
 
     rho sampled at T_s has length 2*span*L + 1 with rho[center] equal to
     the pulse energy; the Nyquist claim is that all other lags within
     the span stay below 1% of that peak when the j^k stagger is present.
     Computed as the inverse FFT of |G|^2 at a power-of-two length that
-    leaves no lag wrapped.  `pulse` is g when the caller already holds
-    it (synthesize_pulse(config) otherwise).
+    leaves no lag wrapped.
     """
-    g = (synthesize_pulse(config) if pulse is None else pulse).samples
+    g = synthesize_pulse(config).samples
     nfft = 1 << (2 * g.size - 2).bit_length()
     spec = np.fft.fft(g, nfft)
     # r[k] = sum_m g[m + k] g*[m]; negative lags sit at the end

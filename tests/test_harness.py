@@ -269,6 +269,8 @@ class TestComputedValues:
         with pytest.raises(ValueError, match="band edges exceed the sample rate"):
             tiny(interference=wide)
         tiny(interference=dataclasses.replace(wide, band_edges_hz=(-2.4e8, 2.4e8)))
+        # with no interferers the edges are never read, so they pass
+        tiny(interference=dataclasses.replace(wide, count=0))
 
     def test_radio_count_must_divide_subbands(self):
         with pytest.raises(ValueError, match="radio count must divide"):
