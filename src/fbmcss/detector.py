@@ -5,9 +5,9 @@ with 2p degrees of freedom; under a packet with effective channel taps
 theta it is noncentral with lambda = 2*beta*theta^H theta.  Everything
 here is pure computation on small dense objects: thresholds, the exact
 statistic (oracle), the banded low-complexity form, the multi-radio
-band split, theory P_D with its inverse eta_for_pd (the SNR where P_D
-reaches a target), and Fisher-information checks that justify the
-beta*I approximation the fast path rests on.
+band split, theory P_D with its inverse eta_for_pd (the SNR where the
+exact law reaches a P_D target), and Fisher-information checks that
+justify the beta*I approximation the fast path rests on.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    chi2_tail_inv,
-    gaussian_q_inv,
-    noncentral_chi2_tail,
-)
+from .numerics import chi2_tail_inv, noncentral_chi2_tail
 
 __all__ = [
     "DetectionConfig",
@@ -33,7 +29,6 @@ __all__ = [
     "noncentrality_at_eta",
     "theory_pd",
     "eta_for_pd",
-    "required_eta_db",
     "cfo_grid_span_hz",
     "cfo_grid",
     "fim_matrix",
@@ -110,9 +105,9 @@ def threshold(p_fa: float, p: int, j_grid: int = 1) -> float:
     """Detection threshold for the 2p-degree chi-squared null law.
 
     With a J-point CFO grid the per-candidate false-alarm target shrinks
-    so the max over the grid meets the overall target: exact form
-    1-(1-P_FA)^(1/J), or the small-P_FA form P_FA/J below 1e-3 where the
-    exact form is numerically pointless.
+    so the max over J independent candidates meets the overall target:
+    the Sidak form 1-(1-P_FA)^(1/J), through log1p and expm1 so it keeps
+    full relative precision at any P_FA.
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must be in (0, 1)")
@@ -120,12 +115,7 @@ def threshold(p_fa: float, p: int, j_grid: int = 1) -> float:
         raise ValueError("p must be >= 1")
     if j_grid < 1:
         raise ValueError("j_grid must be >= 1")
-    if j_grid == 1:
-        per_bin = p_fa
-    elif p_fa < 1e-3:
-        per_bin = p_fa / j_grid
-    else:
-        per_bin = 1.0 - (1.0 - p_fa) ** (1.0 / j_grid)
+    per_bin = p_fa if j_grid == 1 else -math.expm1(math.log1p(-p_fa) / j_grid)
     return chi2_tail_inv(2 * p, per_bin)
 
 
@@ -194,9 +184,15 @@ def theory_pd(p_fa: float, p: int, noncentrality: float, j_grid: int = 1) -> flo
 
 
 def _bisect(below, lo: float, hi: float) -> float:
-    """Midpoint of [lo, hi] after 200 halvings; below(x) says the root lies above x."""
+    """Midpoint of [lo, hi] after 200 halvings; below(x) says the root lies above x.
+
+    Returns early once the midpoint no longer splits the bracket: no
+    later halving can change the answer, so it is the same double.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         if below(mid):
             lo = mid
         else:
@@ -204,11 +200,10 @@ def _bisect(below, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# eta_for_pd's bracket: deflection solution +- _BRACKET_DB, and at most
-# _BRACKET_PROBES checks, each failed one moving an end out by a step
-# that doubles, so a checked end lies at most 3 * 2^5 = 96 dB from it
-_BRACKET_DB = 3.0
-_BRACKET_PROBES = 6
+# eta_for_pd doubles its upper end from lambda = 1 at most this often,
+# so an unreachable target gives up after probing lambda = 2^29, far
+# past the 2.5 to 215 the presets place
+_MAX_DOUBLINGS = 30
 
 
 def eta_for_pd(
@@ -220,54 +215,30 @@ def eta_for_pd(
 ) -> float:
     """Chip SNR in dB where theory_pd (j = 1) reaches target_pd.
 
-    Bisection on the exact noncentral law, not the deflection
-    approximation, so placements like "the point where P_D = 0.5" land
-    on the same curve run_point reports as p_d_theory.  The bracket
-    starts around the deflection solution (required_eta_db), so no
-    probe lands at a noncentrality far beyond the answer.  Raises
-    ValueError unless p_fa < target_pd < 1, or when the bracket still
-    misses the target after its last widening.
+    Bisection in lambda on the exact noncentral law, so placements like
+    "the point where P_D = 0.5" land on the same curve run_point reports
+    as p_d_theory.  P_D at lambda = 0 is p_fa, below the target, so the
+    upper end starts at lambda = 1 and doubles until P_D reaches the
+    target: no probe lands past twice the answer.  Raises ValueError
+    unless p_fa < target_pd < 1, or when _MAX_DOUBLINGS doublings still
+    miss the target.
     """
-    center = required_eta_db(p_fa, target_pd, p, preamble_length, num_subbands)
+    gamma = threshold(p_fa, p)
+    if not p_fa < target_pd < 1.0:
+        raise ValueError("target_pd must lie in (p_fa, 1)")
 
-    def pd_at(eta_db: float) -> float:
-        lam = noncentrality_at_eta(eta_db, preamble_length, num_subbands)
-        return theory_pd(p_fa, p, lam)
+    def below(lam: float) -> bool:
+        return noncentral_chi2_tail(2 * p, lam, gamma) < target_pd
 
-    step = _BRACKET_DB
-    lo, hi = center - step, center + step
-    for _ in range(_BRACKET_PROBES):
-        if pd_at(lo) > target_pd:
-            lo -= step
-        elif pd_at(hi) < target_pd:
-            hi += step
-        else:
+    hi = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        if not below(hi):
             break
-        step *= 2.0
+        hi *= 2.0
     else:
         raise ValueError("target_pd out of reach for this configuration")
-    return _bisect(lambda eta_db: pd_at(eta_db) < target_pd, lo, hi)
-
-
-def required_eta_db(
-    p_fa: float,
-    p_d: float,
-    p: int,
-    preamble_length: int,
-    num_subbands: int,
-) -> float:
-    """Chip SNR needed for a target (P_FA, P_D), deflection approximation.
-
-    Inverts d2 = (N L eta)^2 / p.  Doubling p costs a factor sqrt(2) in
-    eta: the 1.505 dB delay-spread penalty per doubling.
-    """
-    if not 0.0 < p_d < 1.0:
-        raise ValueError("p_d must be in (0, 1)")
-    gap = gaussian_q_inv(p_fa) - gaussian_q_inv(p_d)
-    if gap <= 0.0:
-        raise ValueError("p_d must exceed p_fa")
-    eta = gap * math.sqrt(p) / (preamble_length * num_subbands)
-    return 10.0 * math.log10(eta)
+    lam = _bisect(below, 0.0, hi)
+    return 10.0 * math.log10(lam / (2.0 * preamble_length * num_subbands))
 
 
 def fim_matrix(h: np.ndarray, c_w: np.ndarray) -> np.ndarray:

@@ -212,26 +212,6 @@ class _Bundle:
 _BUNDLES: dict[Scenario, _Bundle] = {}
 
 
-def _radio_waveform(wf: WaveformConfig, radios: int, m: int) -> WaveformConfig:
-    """K-band waveform radio m sees after an ideal band split.
-
-    The sliced code keeps the sign sequence of bands [mK, (m+1)K); the
-    quadrature stagger restarts at the radio's first band, which drops
-    a constant phase per radio.  The detector statistics are magnitude
-    based, so that phase never matters.
-    """
-    k = wf.num_subbands // radios
-    return WaveformConfig(
-        num_subbands=k,
-        symbol_duration_s=wf.symbol_duration_s,
-        prototype=design_prototype_filter(
-            k, wf.prototype.span_symbols, wf.prototype.rolloff
-        ),
-        code=SpreadingCode(wf.code.signs[m * k : (m + 1) * k]),
-        preamble_symbols=wf.preamble_symbols,
-    )
-
-
 def _bundle(scenario: Scenario) -> _Bundle:
     cached = _BUNDLES.get(scenario)
     if cached is not None:
@@ -241,8 +221,22 @@ def _bundle(scenario: Scenario) -> _Bundle:
     cfg = ChannelizerConfig(wf, det.p)
     radio_cfgs = (cfg,)
     if det.radios > 1:
+        # radio m sees the K-band waveform of bands [mK, (m+1)K) after an
+        # ideal band split; its quadrature stagger restarts at its first
+        # band, which drops a constant phase per radio, and the detector
+        # statistics are magnitude based, so that phase never matters
+        k = wf.num_subbands // det.radios
+        proto = design_prototype_filter(k, wf.prototype.span_symbols, wf.prototype.rolloff)
         radio_cfgs = tuple(
-            ChannelizerConfig(_radio_waveform(wf, det.radios, m), det.taps_per_radio)
+            ChannelizerConfig(
+                dataclasses.replace(
+                    wf,
+                    num_subbands=k,
+                    prototype=proto,
+                    code=SpreadingCode(wf.code.signs[m * k : (m + 1) * k]),
+                ),
+                det.taps_per_radio,
+            )
             for m in range(det.radios)
         )
     warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
@@ -359,7 +353,7 @@ def _stats_over_grid(
     """Per-window max of the statistic across the CFO candidate grid."""
     results = []
     for df in bundle.grid_hz:
-        x = stream if df == 0.0 else apply_cfo(stream, -df)
+        x = apply_cfo(stream, -df)
         results.append(_stats_single(x.samples, bundle, scenario, noise_psd, k0))
     return results[0][0], np.max([s for _, s in results], axis=0)
 
@@ -511,7 +505,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     wf = scenario.waveform
     trials = scenario.trials_per_point
     # built before any pool, so forked workers inherit it
-    _bundle(scenario)
+    bundle = _bundle(scenario)
     detections = sum(_map_trials(_signal_trial, scenario, eta_db, range(trials), workers))
     crossings, windows = measure_false_alarm(scenario, eta_db, workers=workers)
     lam = noncentrality_at_eta(eta_db, wf.preamble_length, wf.num_subbands)
@@ -519,7 +513,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     return CurvePoint(
         eta_db=float(eta_db),
         p_d_empirical=detections / trials,
-        p_d_theory=theory_pd(det.p_fa, det.p, lam, scenario.cfo_grid_hz.size),
+        p_d_theory=theory_pd(det.p_fa, det.p, lam, bundle.grid_hz.size),
         p_fa_empirical=crossings / windows,
         trials=trials,
         wilson_low=low,

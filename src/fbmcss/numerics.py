@@ -1,12 +1,12 @@
-"""Complex signal buffers and tail-probability special functions.
+"""Complex signal buffers and chi-squared tail functions.
 
 Everything downstream (waveform synthesis, whitening, detection theory)
-builds on the primitives here.  The tail functions are self-contained
-(math module only) so that threshold computations do not silently depend
-on the habits of any particular external library.  Accuracy targets are
-modest and explicit: absolute tail values to ~1e-12, inverses iterated
-until the forward map reproduces the requested probability to 1e-9
-relative or better.
+builds on the primitives here.  The central and noncentral chi-squared
+tails and the central inverse are self-contained (math module only) so
+that threshold computations do not silently depend on the habits of any
+particular external library.  Accuracy targets are modest and explicit:
+absolute tail values to ~1e-12, the inverse iterated until the forward
+map reproduces the requested probability to 1e-9 relative or better.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 
 __all__ = [
     "ComplexSignal",
-    "gaussian_q",
-    "gaussian_q_inv",
     "chi2_tail",
     "chi2_tail_inv",
     "noncentral_chi2_tail",
@@ -43,48 +41,6 @@ class ComplexSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def gaussian_q(x: float) -> float:
-    """Right-tail probability Q(x) of the standard normal distribution."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-def gaussian_q_inv(p: float) -> float:
-    """Inverse of gaussian_q.
-
-    Initial estimate from the classic rational approximation in t =
-    sqrt(-2 ln p), polished with Newton steps on gaussian_q itself until
-    the forward map reproduces p to full precision.
-
-    Args:
-        p: tail probability, strictly inside (0, 1).
-
-    Returns:
-        x such that gaussian_q(x) = p.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"tail probability must be in (0,1), got {p}")
-    if p > 0.5:
-        return -gaussian_q_inv(1.0 - p)
-    if p == 0.5:
-        return 0.0
-    t = math.sqrt(-2.0 * math.log(p))
-    x = t - (2.30753 + 0.27061 * t) / (1.0 + 0.99229 * t + 0.04481 * t * t)
-    for _ in range(60):
-        err = gaussian_q(x) - p
-        step = err / _norm_pdf(x)
-        x += step
-        if abs(err) <= 1e-14 * p:
-            break
-    return x
 
 
 def _gammq(a: float, x: float) -> float:

@@ -1,8 +1,8 @@
 """Decision-layer tests.
 
 Expected values come from three independent routes: closed forms (the
-dof-2 threshold, the white-noise statistic reduction, the sqrt(2) SNR
-law), the frozen chi-squared oracles validated in test_numerics, and
+dof-2 threshold, the white-noise statistic reduction, the Sidak grid
+target), the frozen chi-squared oracles validated in test_numerics, and
 the exact circulant factorization of the per-band Fisher information
 (off-diagonal (l,m) entry = A(l-m) * B(l-m) / L with A the symbol-DFT
 moment and B the DFT of the inverse band profile), which this file
@@ -12,6 +12,7 @@ recomputes from scratch.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,17 +34,14 @@ from fbmcss.detector import (
     noncentrality_at_eta,
     rao_exact,
     rao_low_complexity,
-    required_eta_db,
     theory_pd,
     threshold,
 )
-from fbmcss.numerics import chi2_tail, gaussian_q, gaussian_q_inv
+from fbmcss.numerics import chi2_tail
 from fbmcss.waveform import build_data_matrix, make_preamble_symbols
 
 # Frozen in test_numerics against scipy and a 40-digit mpmath sweep.
 THRESH_P4_PFA1E3 = 26.124481558376143
-# 10*log10(sqrt(2)); the exact per-doubling SNR penalty of the solver.
-DB_PER_DOUBLING = 1.5051499783199058
 
 
 def tone_block(band: int, preamble_length: int, num_subbands: int) -> int:
@@ -146,12 +144,16 @@ class TestThreshold:
         assert threshold(1e-3, 4, 1) == pytest.approx(THRESH_P4_PFA1E3, rel=1e-12)
 
     def test_grid_forms_agree_at_small_pfa(self):
-        exact = threshold(1e-3, 4, 79)
-        from fbmcss.numerics import chi2_tail_inv
-
-        quotient = chi2_tail_inv(8, 1e-3 / 79)
-        assert exact == chi2_tail_inv(8, 1.0 - (1.0 - 1e-3) ** (1.0 / 79))
-        assert abs(exact - quotient) / exact < 1e-3
+        # per-candidate tail against 1 - (1 - P_FA)^(1/J) to 50 digits;
+        # P_FA/J is 4.9e-9 relative off it at P_FA = 1e-8, J = 79
+        p = 4
+        for p_fa in (1e-2, 1e-3, 1e-8):
+            for j in (2, 79):
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    sidak = float(1 - (1 - Decimal(p_fa)) ** (Decimal(1) / j))
+                tail = chi2_tail(2 * p, threshold(p_fa, p, j))
+                assert abs(tail - sidak) <= 1e-9 * sidak
 
     def test_grid_raises_threshold(self):
         assert threshold(1e-2, 4, 10) > threshold(1e-2, 4, 1)
@@ -364,7 +366,7 @@ def noncentrality(thetas, phis, preamble_length: int, bands_per_radio: int) -> f
 
 def deflection_pd(p_fa: float, d2: float) -> float:
     """Gaussian-approximation P_D = Q(Q^-1(P_FA) - sqrt(d2))."""
-    return gaussian_q(gaussian_q_inv(p_fa) - math.sqrt(d2))
+    return float(stats.norm.sf(stats.norm.isf(p_fa) - math.sqrt(d2)))
 
 
 class TestNoncentrality:
@@ -482,32 +484,52 @@ class TestEtaForPd:
                 eta_for_pd(1e-2, 4, target, 32, 64)
 
     def test_unreachable_target_gives_up(self, monkeypatch):
-        # a law that saturates below the target: at most six bracket
-        # probes of two evaluations each, then placement gives up
+        # a law that saturates below the target: one evaluation per
+        # doubling of the upper end, then placement gives up
         calls = []
 
-        def saturating(p_fa, p, lam, j_grid=1):
-            calls.append(lam)
+        def saturating(dof, noncentrality, x):
+            calls.append(noncentrality)
             return 0.5
 
-        monkeypatch.setattr(detector, "theory_pd", saturating)
+        monkeypatch.setattr(detector, "noncentral_chi2_tail", saturating)
         with pytest.raises(ValueError, match="out of reach"):
             eta_for_pd(1e-2, 4, 0.9, 32, 64)
-        assert 0 < len(calls) <= 12
+        assert 0 < len(calls) <= detector._MAX_DOUBLINGS
+
+
+def bisect_200(below, lo: float, hi: float) -> float:
+    """The 200-halving bisection, without an early return: the oracle."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisect:
+    def test_early_return_gives_the_same_double(self):
+        target = 10.0 ** (-1.0 / 20.0)
+        gamma = threshold(1e-8, 40)
+        cases = [
+            # cfo_grid_span_hz's predicate and bracket
+            (lambda u: math.sin(u) / u > target, 0.0, math.pi),
+            # eta_for_pd's, at narrowband's P_D = 0.5 knee
+            (lambda lam: detector.noncentral_chi2_tail(80, lam, gamma) < 0.5, 0.0, 128.0),
+            (lambda x: x * x < 2.0, 0.0, 2.0),
+            (lambda x: math.exp(x) < 0.5, -10.0, 10.0),
+            (lambda x: x < 1e-310, 0.0, 1.0),
+            (lambda x: True, 1.0, 2.0),
+            (lambda x: False, -3.0, 5.0),
+            (lambda x: x < 3.0, 3.0, 3.0),
+        ]
+        for below, lo, hi in cases:
+            assert detector._bisect(below, lo, hi) == bisect_200(below, lo, hi)
 
 
 class TestDeflection:
-    def test_required_snr_doubling_law(self):
-        for p in (1, 4, 40):
-            gap = required_eta_db(1e-3, 0.9, 2 * p, 32, 64) - required_eta_db(1e-3, 0.9, p, 32, 64)
-            assert gap == pytest.approx(DB_PER_DOUBLING, rel=1e-12)
-
-    def test_solver_round_trip(self):
-        p_fa, p_d, p = 1e-3, 0.9, 4
-        eta = 10.0 ** (required_eta_db(p_fa, p_d, p, 32, 64) / 10.0)
-        d2 = (32 * 64 * eta) ** 2 / p
-        assert deflection_pd(p_fa, d2) == pytest.approx(p_d, rel=1e-9)
-
     def test_matched_filter_bound_dominates(self):
         # the clairvoyant matched filter (d^2 = lambda) upper-bounds the
         # exact chi-squared law of the score test at every SNR
@@ -523,10 +545,6 @@ class TestDeflection:
         p, p_fa = 4, 1e-3
         for lam in np.linspace(0.1, 2 * p, 12):
             assert deflection_pd(p_fa, lam**2 / (4 * p)) <= deflection_pd(p_fa, float(lam)) + 1e-12
-
-    def test_rejects_bad_targets(self):
-        with pytest.raises(ValueError):
-            required_eta_db(1e-2, 1e-3, 4, 32, 64)
 
 
 class TestCfoGrid:

@@ -28,6 +28,7 @@ from fbmcss.channel import (
 from fbmcss.channelizer import CascadeDetector, input_span, tracked_first_anchor
 from fbmcss.detector import DetectionConfig, cfo_grid, threshold
 from fbmcss.numerics import ComplexSignal
+from fbmcss.waveform import design_prototype_filter
 
 L = 16
 FS = 500e6
@@ -475,6 +476,15 @@ class TestBundle:
         assert len(bundle.rho) == 2 * span * 4096 + 1
         assert peak <= 200 * 2**20
 
+    def test_radios_share_one_prototype(self):
+        # the K-band prototype is designed once per bundle, not per radio
+        bundle = harness._bundle(cached_preset("wideband_short"))
+        protos = [c.waveform.prototype for c in bundle.radio_cfgs]
+        assert len(protos) == 8 and all(q is protos[0] for q in protos)
+        fresh = design_prototype_filter(4096 // 8, protos[0].span_symbols, protos[0].rolloff)
+        assert protos[0].samples_per_symbol == fresh.samples_per_symbol
+        assert protos[0].taps.tobytes() == fresh.taps.tobytes()
+
     def test_lead_starts_past_tracked_warmup(self):
         bundle = harness._bundle(tiny())
         rng = np.random.default_rng(3)
@@ -519,15 +529,21 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
     def test_placement_probes_stay_near_the_answer(self, name, monkeypatch):
-        # a tail at lambda ~ 1e10 sweeps two million terms; placement
-        # starts from the deflection solution and never goes there
-        tail = detector.noncentral_chi2_tail
+        # a tail at lambda ~ 1e10 sweeps two million terms; each
+        # placement probes no lambda past twice the one it places
+        tail, place = detector.noncentral_chi2_tail, harness.eta_for_pd
         seen = []
 
         def recording(dof, noncentrality, x):
             seen.append(noncentrality)
             return tail(dof, noncentrality, x)
 
+        def checked(p_fa, p, target, n, l):
+            seen.clear()
+            eta_db = place(p_fa, p, target, n, l)
+            assert seen and max(seen) <= 2.0 * detector.noncentrality_at_eta(eta_db, n, l)
+            return eta_db
+
         monkeypatch.setattr(detector, "noncentral_chi2_tail", recording)
+        monkeypatch.setattr(harness, "eta_for_pd", checked)
         harness.preset(name)
-        assert seen and max(seen) <= 1e6

@@ -4,9 +4,7 @@ Frozen reference values were produced with two independent oracles
 (scipy.stats / scipy.special and a 40-digit mpmath evaluation of the
 regularized incomplete gamma and the Poisson-mixture series); both
 oracles agreed to at least 12 significant digits before the numbers
-were frozen here.  A small erfc-series oracle is also re-implemented
-inline so the Gaussian tail is checked against something other than
-the library erfc it is built on.
+were frozen here.
 """
 
 import math
@@ -22,85 +20,10 @@ from fbmcss.numerics import (
     ComplexSignal,
     chi2_tail,
     chi2_tail_inv,
-    gaussian_q,
-    gaussian_q_inv,
     noncentral_chi2_tail,
 )
 
 INV_REL = 1e-9  # inverse-function round trips
-
-
-def erfc_series_oracle(x: float) -> float:
-    """Independent Q(x) via the erfc continued fraction / Taylor series.
-
-    Taylor series of erf for small arguments, Laplace continued fraction
-    for the tail.  Good to ~1e-13 for |x| <= 8, which covers every frozen
-    comparison below.
-    """
-    z = x / math.sqrt(2.0)
-    if z < 0:
-        return 1.0 - erfc_series_oracle(-x)
-    if z < 2.0:
-        # erf Taylor series
-        total, term = z, z
-        for n in range(1, 200):
-            term *= -z * z / n
-            total += term / (2 * n + 1)
-        erf = 2.0 / math.sqrt(math.pi) * total
-        return 0.5 * (1.0 - erf)
-    # Laplace continued fraction for erfc
-    f = 0.0
-    for n in range(60, 0, -1):
-        f = (n / 2.0) / (z + f)
-    erfc = math.exp(-z * z) / math.sqrt(math.pi) / (z + f)
-    return 0.5 * erfc
-
-
-class TestGaussianQ:
-    def test_zero_is_half(self):
-        assert gaussian_q(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_decile_point(self):
-        # spec point: Q(1.2815515655) = 0.10 within 1e-8
-        assert gaussian_q(1.2815515655) == pytest.approx(0.10, abs=1e-8)
-
-    def test_against_series_oracle(self):
-        for x in (-3.0, -0.7, 0.3, 1.0, 2.5, 4.0, 6.0):
-            assert gaussian_q(x) == pytest.approx(
-                erfc_series_oracle(x), rel=1e-12
-            )
-
-    def test_frozen_values(self):
-        # scipy.stats.norm.sf, cross-checked with mpmath erfc
-        assert gaussian_q(2.0) == pytest.approx(0.022750131948179195, rel=1e-12)
-        assert gaussian_q(6.0) == pytest.approx(9.865876450376946e-10, rel=1e-10)
-
-    def test_symmetry(self):
-        for x in (0.1, 1.3, 2.2):
-            assert gaussian_q(-x) == pytest.approx(1.0 - gaussian_q(x), abs=1e-14)
-
-
-class TestGaussianQInv:
-    def test_half(self):
-        assert gaussian_q_inv(0.5) == 0.0
-
-    def test_frozen_values(self):
-        assert gaussian_q_inv(1e-8) == pytest.approx(5.612001244174789, abs=1e-3)
-        assert gaussian_q_inv(0.975) == pytest.approx(-1.959963984540054, abs=1e-6)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                gaussian_q_inv(bad)
-
-    @given(st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, p):
-        x = gaussian_q_inv(p)
-        assert abs(gaussian_q(x) - p) <= INV_REL * p
-
-    def test_round_trip_of_forward(self):
-        assert gaussian_q_inv(gaussian_q(2.0)) == pytest.approx(2.0, abs=1e-9)
 
 
 class TestChi2Tail:
