@@ -5,7 +5,8 @@ waveform.WaveformConfig: prototype, code and preamble) and its branch
 count p.  Every size and table the stages read depends on those two
 alone, so the config builds its tables once: the phase ramp shared by
 analysis and synthesis, the polyphase interpolator `coeffs` with its
-`delay`, the synthesis `weights` and the conjugate preamble symbols.
+`delay`, the synthesis `weights` and the conjugate preamble symbols as
+an alphabet (`symbol_values`) plus one index per symbol (`symbol_index`).
 A stage state holds only what the stream moves: tails and counters.
 Every stage takes (input, cfg, state) and advances that state:
 
@@ -26,7 +27,10 @@ Every stage takes (input, cfg, state) and advances that state:
 - `_synthesize` resynthesizes y' with a polyphase interpolator, where
   each output sums only the lag_hops taps of its own phase, at the
   residues l < p the comb reads: row l of its block holds y'[fL + l];
-- `matched_filter_bank` correlates those rows against the preamble comb;
+- `matched_filter_bank` correlates those rows against the preamble comb,
+  looking each product up in a per-branch table of the row times every
+  symbol of the alphabet (distributed arithmetic; White, IEEE ASSP
+  Magazine 1989): a QPSK comb needs 4 products per sample, not N;
 - the Rao score 2*energy/beta is emitted once per L input samples.
 
 `CascadeDetector.push` runs that chain.  Tracked whitening needs a full
@@ -97,7 +101,8 @@ class ChannelizerConfig:
     coeffs: np.ndarray = field(init=False, repr=False)
     delay: int = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
-    conj_symbols: np.ndarray = field(init=False, repr=False)
+    symbol_values: np.ndarray = field(init=False, repr=False)
+    symbol_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         l = self.num_subbands
@@ -116,6 +121,12 @@ class ChannelizerConfig:
         lag = (interp.size - 1) // self.hop + 1
         table = np.zeros(lag * self.hop)
         table[: interp.size] = interp
+        # the conjugate symbols' alphabet, distinct by bit pattern so that
+        # 1+0j and 1-0j stay apart; inverse raveled, its shape varies by numpy
+        conj = np.conj(wf.preamble_symbols)
+        _, first, index = np.unique(
+            conj.view(np.uint64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+        )
         center = pulse_origin_index(wf.prototype)
         recenter = np.exp(2j * np.pi * wf.normalized_frequencies() * center)
         for name, value in (
@@ -124,7 +135,8 @@ class ChannelizerConfig:
             # odd interpolator length keeps the group delay whole
             ("delay", (interp.size - 1) // 2),
             ("weights", _stable_product(recenter, wf.code.gains, conjugate_b=True)),
-            ("conj_symbols", np.conj(wf.preamble_symbols)),
+            ("symbol_values", conj[first]),
+            ("symbol_index", index.ravel()),
         ):
             object.__setattr__(self, name, value)
 
@@ -200,7 +212,8 @@ def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
     return AnalysisState(tail=np.zeros(0, dtype=np.complex128))
 
 
-# complex elements in one block's zero-padded fold buffer (32 MiB)
+# complex elements in the zero-padded fold buffer (32 MiB), one per call:
+# smaller fresh buffers get no huge pages and fault on every call
 _AFB_BLOCK_ELEMENTS = 1 << 21
 
 
@@ -235,11 +248,12 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     # equal blocks, as many as blocks of the largest size would make
     block = max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l))
     block = -(-n_hops // -(-n_hops // block))
+    # every block multiplies straight into the taps.size columns of one
+    # zero-padded fold buffer; its pad columns are never written, so stay +0.0
+    buf = np.zeros((block, span_slots * l), dtype=np.complex128)
     for lo in range(0, n_hops, block):
         hi = min(lo + block, n_hops)
-        # multiply straight into the zero-padded fold buffer: one
-        # hops x taps temporary instead of two
-        padded = np.zeros((hi - lo, span_slots * l), dtype=np.complex128)
+        padded = buf[: hi - lo]
         np.multiply(windows[lo:hi], taps, out=padded[:, : taps.size])
         folded = padded.reshape(hi - lo, span_slots, l).sum(axis=1)
         rolled = folded[np.arange(hi - lo)[:, None], (col[None, :] - shift[lo:hi, None]) % l]
@@ -488,7 +502,7 @@ def mf_state(cfg: ChannelizerConfig) -> MatchedFilterState:
     return MatchedFilterState(tail=np.zeros((cfg.branch_count, 0), dtype=np.complex128))
 
 
-_MF_BLOCK_ELEMENTS = 1 << 14  # comb products per block: 256 KiB, to stay in cache
+_MF_BLOCK_ELEMENTS = 1 << 14  # gathered comb terms per block: 256 KiB, to stay in cache
 
 
 def matched_filter_bank(
@@ -500,19 +514,27 @@ def matched_filter_bank(
     of residue row l: the inner product of the window anchored at jL
     with column l of the dense observation matrix.  Returns a
     (branch_count, windows) block; the anchor of the first returned
-    column is state.next_anchor*L before the call.  Each window sums its
-    own products, so taking windows in blocks changes no bit.
+    column is state.next_anchor*L before the call.  conj(s[n]) takes
+    only the D values of cfg.symbol_values, so each branch first builds
+    the (D, frames) table of its row times each value, then gathers
+    every window's N terms from it, contiguously, in ascending n: the
+    same products summed in the same order as multiplying the window
+    itself, so taking windows in blocks changes no bit.
     """
     n = cfg.preamble_length
-    conj = cfg.conj_symbols
     data = np.concatenate([state.tail, block], axis=1)
-    n_windows = max(0, data.shape[1] - n + 1)
+    frames = data.shape[1]
+    n_windows = max(0, frames - n + 1)
     out = np.empty((cfg.branch_count, n_windows), dtype=np.complex128)
     step = max(1, _MF_BLOCK_ELEMENTS // n)
-    for lo in range(0, n_windows, step):
-        windows = sliding_window_view(data[:, lo : lo + step + n - 1], n, axis=1)
-        for branch, win in enumerate(windows):
-            out[branch, lo : lo + step] = _stable_product(win, conj).sum(axis=1)
+    if n_windows:
+        # flat table offset of term k of window j: symbol_index[k]*frames + k + j
+        gather = cfg.symbol_index * frames + np.arange(n) + np.arange(min(step, n_windows))[:, None]
+        for branch, row in enumerate(data):
+            table = _stable_product(row[None, :], cfg.symbol_values[:, None]).ravel()
+            for lo in range(0, n_windows, step):
+                hi = min(lo + step, n_windows)
+                out[branch, lo:hi] = table[lo:].take(gather[: hi - lo]).sum(axis=1)
     state.tail = data[:, n_windows:].copy()
     state.next_anchor += n_windows
     return out

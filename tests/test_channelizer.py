@@ -2,17 +2,20 @@
 filtering, and the end-to-end streaming detector."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sps
 
 from fbmcss import channelizer
 from fbmcss.channel import assemble_stream
 from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
+    _MF_BLOCK_ELEMENTS,
     _POWER_FLOOR_RATIO,
     CascadeDetector,
     ChannelizerConfig,
@@ -38,6 +41,7 @@ from fbmcss.waveform import (
     WaveformSpec,
     build_data_matrix,
     generate_preamble,
+    make_preamble_symbols,
     synthesize_pulse,
 )
 
@@ -282,11 +286,20 @@ class TestAnalysisBank:
 
     def test_push_spanning_several_blocks_matches_chunked_bitwise(self, cfg):
         x = white(1 << 17, 1.0, 19)
+        hops = (x.size - cfg.waveform.prototype.taps.size) // cfg.hop + 1
+        # silence across the edge of the one-shot call's two equal fold
+        # blocks: -0.0 - 0.0j, then every signed-zero pair at random, so
+        # a fold sums only signed zeros there, with the pad's +0.0
+        edge = hops // 2 * cfg.hop
+        x[edge - 700 : edge + 700] = complex(-0.0, -0.0)
+        signs = np.random.default_rng(20).choice([0.0, -0.0], (2, 1400))
+        x[edge + 700 : edge + 2100].real, x[edge + 700 : edge + 2100].imag = signs
         state = analysis_state(cfg)
         span_slots = -(-cfg.waveform.prototype.taps.size // L)
         whole = afb_process(x, cfg, state)
-        # the one-shot call folds more hops than one block holds
-        assert whole.shape[0] > _AFB_BLOCK_ELEMENTS // (span_slots * L)
+        # the one-shot call folds more hops than one block holds, in two blocks
+        block = _AFB_BLOCK_ELEMENTS // (span_slots * L)
+        assert block < whole.shape[0] == hops <= 2 * block
         for step in (37, 5000):
             st = analysis_state(cfg)
             pieces = [
@@ -693,7 +706,101 @@ class TestSynthesis:
         assert np.array_equal(chunked, whole)
 
 
+class DirectFormComb:
+    """The comb the per-symbol product table replaced, as an oracle.
+
+    Every window multiplies its own N residues by the conjugate symbols
+    and sums them, as the streaming code once did.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.conj = np.conj(cfg.waveform.preamble_symbols)
+        self.tail = np.zeros((cfg.branch_count, 0), dtype=np.complex128)
+
+    def __call__(self, block):
+        n = self.conj.size
+        data = np.concatenate([self.tail, block], axis=1)
+        n_windows = max(0, data.shape[1] - n + 1)
+        out = np.empty((self.cfg.branch_count, n_windows), dtype=np.complex128)
+        step = max(1, _MF_BLOCK_ELEMENTS // n)
+        for lo in range(0, n_windows, step):
+            windows = sliding_window_view(data[:, lo : lo + step + n - 1], n, axis=1)
+            for branch, win in enumerate(windows):
+                out[branch, lo : lo + step] = _stable_product(win, self.conj).sum(axis=1)
+        self.tail = data[:, n_windows:].copy()
+        return out
+
+
+def comb_alphabets():
+    """Preambles of 64 symbols over alphabets of 1, 2, 4, 4 and 64 values."""
+    rng = np.random.default_rng(29)
+    n = 64
+    zeros = [complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0)]
+    return {
+        "qpsk": make_preamble_symbols(n, 7),
+        "bpsk": rng.choice([1.0, -1.0], n).astype(np.complex128),
+        "one": np.full(n, 0.6 - 0.8j),
+        # equal by value in pairs, distinct by their signed zeros
+        "signed_zeros": np.array(zeros * (n // 4)),
+        "distinct": np.exp(2j * np.pi * rng.random(n)),
+    }
+
+
+def signed_zero_block(p, frames, seed):
+    """A (p, frames) residue block of noise with silent +-0.0 stretches.
+
+    Each stretch is longer than a 64-symbol window, so some windows sum
+    nothing but signed zeros: one of -0.0 - 0.0j, one of +0.0 - 0.0j, and
+    one mixing all four signed-zero pairs.
+    """
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((p, frames)) + 1j * rng.standard_normal((p, frames))
+    block[:, 100:180] = complex(-0.0, -0.0)
+    block[:, 300:380] = complex(0.0, -0.0)
+    signs = rng.choice([0.0, -0.0], (2, p, 80))
+    block[:, 500:580].real, block[:, 500:580].imag = signs
+    return block
+
+
 class TestMatchedFilterBank:
+    @pytest.mark.parametrize("alphabet", sorted(comb_alphabets()))
+    def test_table_matches_direct_form_bitwise(self, wf, alphabet):
+        # the table gathers the products the direct form computes and sums
+        # them in its order, for any alphabet, whole or cut into frames
+        symbols = comb_alphabets()[alphabet]
+        c = ChannelizerConfig(dataclasses.replace(wf, preamble_symbols=symbols), P)
+        assert c.symbol_values.size == {"one": 1, "bpsk": 2, "distinct": 64}.get(alphabet, 4)
+        # three comb blocks of windows: the silent stretches fall in the first,
+        # in the second and across the edge of the second and third
+        frames = symbols.size - 1 + 3 * max(1, _MF_BLOCK_ELEMENTS // symbols.size)
+        block = signed_zero_block(P, frames, 41)
+        oracle = DirectFormComb(c)(block).tobytes()
+        assert matched_filter_bank(block, c, mf_state(c)).tobytes() == oracle
+        state = mf_state(c)
+        pieces = []
+        lo = 0
+        for step in (0, 1, 3, 37, frames):
+            pieces.append(matched_filter_bank(block[:, lo : lo + step], c, state))
+            lo += step
+        assert np.concatenate(pieces, axis=1).tobytes() == oracle
+
+    def test_peak_memory_is_one_branch_table(self, wf):
+        # per-branch tables hold D*frames products at a time; one table for
+        # all p branches would hold p times as many
+        p, n, frames = 15, 64, 4000
+        symbols = comb_alphabets()["distinct"]
+        c = ChannelizerConfig(dataclasses.replace(wf, preamble_symbols=symbols), p)
+        assert c.symbol_values.size == n
+        block = signed_zero_block(p, frames, 43)
+        tracemalloc.start()
+        try:
+            matched_filter_bank(block, c, mf_state(c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * frames * 16
+
     def test_dense_columns_hit_single_branches(self, wf, cfg):
         dense = build_data_matrix(wf.preamble_symbols, L, P)
         for col in range(P):
