@@ -33,7 +33,9 @@ Every stage takes (input, cfg, state) and advances that state:
   Magazine 1989): a QPSK comb needs 4 products per sample, not N;
 - the Rao score 2*energy/beta is emitted once per L input samples.
 
-`CascadeDetector.push` runs that chain.  Tracked whitening needs a full
+`CascadeDetector.push` runs that chain over slices of at most
+`_PUSH_SAMPLES` input samples, so its memory does not grow with the
+push.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
 `tracked_first_anchor` is that rule.  With phi pinned every stage is
 local, and `input_span` names the input samples a run of windows reads,
@@ -212,9 +214,11 @@ def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
     return AnalysisState(tail=np.zeros(0, dtype=np.complex128))
 
 
-# complex elements in the zero-padded fold buffer (32 MiB), one per call:
-# smaller fresh buffers get no huge pages and fault on every call
-_AFB_BLOCK_ELEMENTS = 1 << 21
+# complex elements in the zero-padded fold buffer (8 MiB), one per call;
+# measured on a 2-vCPU EPYC with 32 MiB of L3, four times this made a
+# 2^18-sample narrowband call 55% slower (8.6 against 5.5 ms), and a
+# quarter of it cut the desk curve's noise windows per second by a fifth
+_AFB_BLOCK_ELEMENTS = 1 << 19
 
 
 def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
@@ -238,16 +242,13 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     if n_hops <= 0:
         state.tail = data.copy()
         return np.zeros((0, l), dtype=np.complex128)
-    offset = start_hop * d
-    v = _stable_product(data, cfg.phase[(offset + np.arange(data.size)) % (2 * l)])
+    # the phase table has period 2L: tiled from the call's first sample,
+    # it gives every sample the entry of its absolute index
+    phase = np.resize(np.roll(cfg.phase, -(start_hop * d % (2 * l))), data.size)
+    v = _stable_product(data, phase)
     out = np.empty((n_hops, l), dtype=np.complex128)
     windows = sliding_window_view(v, taps.size)[::d]
-    hop_idx = start_hop + np.arange(n_hops)
-    shift = (hop_idx * d) % l
-    col = np.arange(l)
-    # equal blocks, as many as blocks of the largest size would make
-    block = max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l))
-    block = -(-n_hops // -(-n_hops // block))
+    block = min(n_hops, max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l)))
     # every block multiplies straight into the taps.size columns of one
     # zero-padded fold buffer; its pad columns are never written, so stay +0.0
     buf = np.zeros((block, span_slots * l), dtype=np.complex128)
@@ -256,8 +257,11 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
         padded = buf[: hi - lo]
         np.multiply(windows[lo:hi], taps, out=padded[:, : taps.size])
         folded = padded.reshape(hi - lo, span_slots, l).sum(axis=1)
-        rolled = folded[np.arange(hi - lo)[:, None], (col[None, :] - shift[lo:hi, None]) % l]
-        out[lo:hi] = np.fft.fft(rolled, axis=1)
+        # hop h's fold rolls by h*hop mod L: with L = 2*hop, not at all
+        # for even h and by half the row for odd h, a swap of the halves
+        odd = folded[(start_hop + lo + 1) % 2 :: 2]
+        odd[:, :d], odd[:, d:] = odd[:, d:].copy(), odd[:, :d].copy()
+        out[lo:hi] = np.fft.fft(folded, axis=1)
     # copies: a view would alias the caller's buffer or pin the whole block
     state.tail = data[n_hops * d :].copy()
     state.next_hop = start_hop + n_hops
@@ -540,6 +544,11 @@ def matched_filter_bank(
     return out
 
 
+# input samples per pass of the stage chain: a pass makes 2^19 / L hops,
+# so its (hops, L) blocks are 8 MiB each at any L and any push length
+_PUSH_SAMPLES = 1 << 18
+
+
 class CascadeDetector:
     """Stateful end-to-end pipeline: push samples, get scored windows.
 
@@ -552,9 +561,9 @@ class CascadeDetector:
     the band power of the fifo_capacity hops before it, and scoring
     starts at tracked_first_anchor(cfg), the one home of that warm-up
     rule.  A window's beta is that of the newest hop it reaches, which
-    is always one whitened in the same push; a window whose newest hop
-    has no estimate scores 0.0.  Samples that are not one finite vector
-    are refused before any stage state moves.
+    is always one whitened in the same pass of the chain; a window whose
+    newest hop has no estimate scores 0.0.  Samples that are not one
+    finite vector are refused before any stage state moves.
     """
 
     def __init__(self, cfg: ChannelizerConfig, power_override=None):
@@ -579,13 +588,27 @@ class CascadeDetector:
             self._beta = compute_beta(self._phi, cfg.preamble_length, cfg.num_subbands)
 
     def push(self, chunk) -> tuple[np.ndarray, np.ndarray]:
-        """Process more samples; returns (anchor indices, statistics)."""
-        cfg = self.cfg
+        """Process more samples; returns (anchor indices, statistics).
+
+        The chain runs over slices of at most _PUSH_SAMPLES samples;
+        chunked output equals one-shot output bit for bit, so the
+        slicing changes no result, only the memory a long push holds.
+        """
         x = np.asarray(chunk, dtype=np.complex128)
         if x.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(x)):
             raise ValueError("samples must be finite")
+        # an empty push runs the chain once, for its empty arrays
+        parts = [
+            self._run(x[lo : lo + _PUSH_SAMPLES])
+            for lo in range(0, max(x.size, 1), _PUSH_SAMPLES)
+        ]
+        return np.concatenate([a for a, _ in parts]), np.concatenate([s for _, s in parts])
+
+    def _run(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One pass of the stage chain over validated samples."""
+        cfg = self.cfg
         first_hop = self._afb.next_hop
         if self._power is None:
             values = afb_process(x, cfg, self._afb)

@@ -17,6 +17,7 @@ from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
     _MF_BLOCK_ELEMENTS,
     _POWER_FLOOR_RATIO,
+    _PUSH_SAMPLES,
     CascadeDetector,
     ChannelizerConfig,
     _interp_taps,
@@ -36,6 +37,7 @@ from fbmcss.channelizer import (
     tracked_first_anchor,
 )
 from fbmcss.detector import compute_beta, rao_low_complexity, threshold
+from fbmcss.harness import preset
 from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import (
     WaveformSpec,
@@ -287,19 +289,19 @@ class TestAnalysisBank:
     def test_push_spanning_several_blocks_matches_chunked_bitwise(self, cfg):
         x = white(1 << 17, 1.0, 19)
         hops = (x.size - cfg.waveform.prototype.taps.size) // cfg.hop + 1
-        # silence across the edge of the one-shot call's two equal fold
-        # blocks: -0.0 - 0.0j, then every signed-zero pair at random, so
-        # a fold sums only signed zeros there, with the pad's +0.0
-        edge = hops // 2 * cfg.hop
+        span_slots = -(-cfg.waveform.prototype.taps.size // L)
+        block = _AFB_BLOCK_ELEMENTS // (span_slots * L)
+        # the one-shot call folds more hops than one block holds
+        assert block < hops
+        # silence across the edge of its first two fold blocks: -0.0 - 0.0j,
+        # then every signed-zero pair at random, so a fold sums only signed
+        # zeros there, with the pad's +0.0
+        edge = block * cfg.hop
         x[edge - 700 : edge + 700] = complex(-0.0, -0.0)
         signs = np.random.default_rng(20).choice([0.0, -0.0], (2, 1400))
         x[edge + 700 : edge + 2100].real, x[edge + 700 : edge + 2100].imag = signs
-        state = analysis_state(cfg)
-        span_slots = -(-cfg.waveform.prototype.taps.size // L)
-        whole = afb_process(x, cfg, state)
-        # the one-shot call folds more hops than one block holds, in two blocks
-        block = _AFB_BLOCK_ELEMENTS // (span_slots * L)
-        assert block < whole.shape[0] == hops <= 2 * block
+        whole = afb_process(x, cfg, analysis_state(cfg))
+        assert whole.shape[0] == hops
         for step in (37, 5000):
             st = analysis_state(cfg)
             pieces = [
@@ -1114,3 +1116,81 @@ class TestDetection:
         # warmup spans the estimator fill plus the interpolator delay
         assert tracked_anchors[0] == 336
         assert tracked_anchors[0] % L == 0
+
+
+def direct_pass(x, cfg, phi):
+    """Calibrated statistics of one pass of each stage over all of x."""
+    values = afb_process(x, cfg, analysis_state(cfg))
+    z = _whitened_residues(values, phi, cfg)
+    branches = matched_filter_bank(_synthesize(z, cfg, synthesis_state(cfg)), cfg, mf_state(cfg))
+    energies = np.zeros(branches.shape[1])
+    for row in branches:
+        energies += row.real**2 + row.imag**2
+    return 2.0 * energies / compute_beta(phi, cfg.preamble_length, cfg.num_subbands)
+
+
+class TestBoundedPush:
+    """A long push runs the stage chain in slices of _PUSH_SAMPLES."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # two and a half slices and a ragged end, with silence across the
+        # first slice edge: -0.0 - 0.0j, then every signed-zero pair at random
+        x = white(5 * _PUSH_SAMPLES // 2 + 37, N0 / L, 71)
+        edge = _PUSH_SAMPLES
+        x[edge - 700 : edge + 700] = complex(-0.0, -0.0)
+        signs = np.random.default_rng(72).choice([0.0, -0.0], (2, 1400))
+        x[edge + 700 : edge + 2100].real, x[edge + 700 : edge + 2100].imag = signs
+        return x
+
+    def test_calibrated_push_equals_one_stage_pass_bitwise(self, cfg, stream):
+        phi = np.full(L, N0)
+        anchors, stats = CascadeDetector(cfg, power_override=phi).push(stream)
+        direct = direct_pass(stream, cfg, phi)
+        assert stats.tobytes() == direct.tobytes()
+        assert np.array_equal(anchors, L * np.arange(direct.size))
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_push_equals_chunked_bitwise(self, cfg, stream, tracked):
+        override = None if tracked else np.full(L, N0)
+        whole = CascadeDetector(cfg, power_override=override).push(stream)
+        det = CascadeDetector(cfg, power_override=override)
+        step = 37 * 1001
+        parts = [det.push(stream[lo : lo + step]) for lo in range(0, stream.size, step)]
+        for k in range(2):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+        assert whole[1].size > 2 * _PUSH_SAMPLES // L
+        # an empty push mid-stream still returns the two empty arrays
+        anchors, stats = det.push(np.zeros(0, dtype=np.complex128))
+        assert anchors.size == 0 and anchors.dtype == np.int64
+        assert stats.size == 0 and stats.dtype == np.float64
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_non_finite_in_last_slice_refused_before_any_state_moves(self, cfg, stream, tracked):
+        override = None if tracked else np.full(L, N0)
+        whole = CascadeDetector(cfg, power_override=override).push(stream)
+        det = CascadeDetector(cfg, power_override=override)
+        head = det.push(stream[:1000])
+        bad = stream[1000:].copy()
+        bad[-5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            det.push(bad)
+        rest = det.push(stream[1000:])
+        for k in range(2):
+            assert np.concatenate([head[k], rest[k]]).tobytes() == whole[k].tobytes()
+
+    def test_peak_memory_does_not_grow_with_push_length(self):
+        # L = 4096, p = 104: one stage pass over 2^21 samples held four
+        # (hops, L) blocks of 64 MiB each
+        cfg = ChannelizerConfig(preset("wideband").waveform.build(), 104)
+        x = white(1 << 21, 1.0, 73)
+        peaks = []
+        for n in (1 << 19, 1 << 21):
+            det = CascadeDetector(cfg, power_override=np.ones(cfg.num_subbands))
+            tracemalloc.start()
+            try:
+                det.push(x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
