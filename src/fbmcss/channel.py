@@ -225,33 +225,24 @@ def apply_cfo(signal: ComplexSignal, delta_f_hz: float) -> ComplexSignal:
 
 
 def assemble_stream(
-    preamble_rx: ComplexSignal | None,
+    preamble_rx: ComplexSignal,
     lead_samples: int,
     trail_samples: int,
     noise_psd: float,
     seed: int,
-    sample_rate_hz: float | None = None,
-) -> tuple[ComplexSignal, int]:
-    """Embed the received preamble in a noisy stream of unknown offset.
+) -> ComplexSignal:
+    """Embed the received preamble in a noisy stream, starting at lead_samples.
 
     Noise (per-sample variance `noise_psd`, stream plane) covers the
-    whole stream: lead, preamble section, and trail.  Pass None as the
-    preamble for a noise-only stream.  Returns the stream and the
-    ground-truth start index (= lead_samples) for scoring.
+    whole stream: lead, preamble section, and trail.  A zero-length
+    preamble gives a noise-only stream at its sample rate.
     """
     if lead_samples < 0 or trail_samples < 0:
         raise ValueError("lead and trail must be >= 0")
-    if preamble_rx is None:
-        if sample_rate_hz is None:
-            raise ValueError("sample_rate_hz required for noise-only streams")
-        body = np.zeros(0, dtype=np.complex128)
-        fs = sample_rate_hz
-    else:
-        body = preamble_rx.samples
-        fs = preamble_rx.sample_rate_hz
+    body = preamble_rx.samples
     total = lead_samples + body.size + trail_samples
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise_psd / 2.0)
     stream = scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
     stream[lead_samples : lead_samples + body.size] += body
-    return ComplexSignal(stream, fs), lead_samples
+    return ComplexSignal(stream, preamble_rx.sample_rate_hz)

@@ -273,22 +273,21 @@ class PowerState:
     """Block sums of |x|^2 over analysis hops, one (L,) row per hop.
 
     Hops are cut into blocks of fifo_capacity on the absolute hop index.
-    `rows` holds the open block's rows so far and `fwd` their running
-    sum; `rev` is the reverse cumulative sum of the last closed block
-    (rev[r] sums its rows r..cap-1).  `last_silent` is the newest silent
-    hop so far.  No field grows with the stream.
+    Row r of `block` holds the open block's row r once its hop is in,
+    and until then the reverse cumulative sum of the last closed block
+    (the sum of its rows r..cap-1); `fwd` is the open block's running
+    sum.  `last_silent` is the newest silent hop so far.  No field grows
+    with the stream.
     """
 
-    rev: np.ndarray
-    rows: np.ndarray
+    block: np.ndarray
     fwd: np.ndarray
     next_hop: int = 0
     last_silent: int = -1
 
 
 def power_state(cfg: ChannelizerConfig) -> PowerState:
-    shape = (cfg.fifo_capacity, cfg.num_subbands)
-    return PowerState(np.zeros(shape), np.zeros(shape), np.zeros(cfg.num_subbands))
+    return PowerState(np.zeros((cfg.fifo_capacity, cfg.num_subbands)), np.zeros(cfg.num_subbands))
 
 
 def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
@@ -317,7 +316,7 @@ def track_power(
 
     values is the (hops, L) block afb_process just returned and silent
     flags its silent hops.  Hop h = b*cap + r (cap = fifo_capacity) sums
-    |x|^2 over hops [h - cap, h) as rev[r] + fwd: the suffix of block
+    |x|^2 over hops [h - cap, h) as block[r] + fwd: the suffix of block
     b - 1 plus the prefix of block b.  phi = L * (sum / cap) is L times
     the band's mean subband power, the reference plane of the
     chi-squared threshold calibration (the analysis filter has unit
@@ -340,13 +339,13 @@ def track_power(
         end = r + hi - lo
         # run[i] is the open block's sum before hop start + lo + i
         run = np.cumsum(np.concatenate([state.fwd[None], power[lo:hi]]), axis=0)
-        np.add(state.rev[r:end], run[:-1], out=sums[lo:hi])
-        state.rows[r:end] = power[lo:hi]
+        np.add(state.block[r:end], run[:-1], out=sums[lo:hi])
+        state.block[r:end] = power[lo:hi]
         if end < cap:
             state.fwd[:] = run[-1]
         else:
             # the block closes: its suffix sums serve the next block's hops
-            np.cumsum(state.rows[::-1], axis=0, out=state.rev[::-1])
+            np.cumsum(state.block[::-1], axis=0, out=state.block[::-1])
             state.fwd[:] = 0.0
         lo = hi
     phi = l * (sums / cap)
@@ -373,11 +372,9 @@ def _interp_taps(cfg: ChannelizerConfig) -> np.ndarray:
     so a zero-stuffed unit sample train reconstructs at unit level.  Odd
     length keeps the group delay integral.
     """
-    l = cfg.num_subbands
     d = cfg.hop
     nyquist = 1.0 / (2.0 * d)
-    pass_edge = min(1.1 / l, 0.9 * nyquist)
-    transition = 2.0 * (nyquist - pass_edge)
+    transition = 2.0 * (nyquist - 0.9 * nyquist)
     beta = 0.1102 * (_INTERP_ATTEN_DB - 8.7)
     n = int(np.ceil((_INTERP_ATTEN_DB - 7.95) / (2.285 * 2.0 * np.pi * transition)))
     n += 1 - n % 2

@@ -10,7 +10,7 @@ sweep resumes where it stopped and writing the curve as CSV next to a
 text copy of the scenario.
 
 A signal trial reads only the windows within p + L of the packet
-start, and _stats_single alone defines them, for calibrated and tracked
+start, and _scores alone defines them, for calibrated and tracked
 trials alike; a trial is a hit when any of them crosses the threshold.
 A calibrated trial pushes just the input span those windows depend on
 (channelizer.input_span), with the bytes a full push gives them; a
@@ -239,7 +239,8 @@ def _bundle(scenario: Scenario) -> _Bundle:
             )
             for m in range(det.radios)
         )
-    warmup = max(tracked_first_anchor(c) for c in radio_cfgs) * det.radios
+    # the radio configs share their sizes, so radio 0's warm-up is every radio's
+    warmup = tracked_first_anchor(radio_cfgs[0]) * det.radios
     l = wf.num_subbands
     grid_hz = scenario.cfo_grid_hz
     # lead is drawn past the tracked warm-up even in calibrated runs so
@@ -292,70 +293,61 @@ def _draw_seed(rng) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-stream scoring
+# scoring
 
 
-def _stats_single(
-    x: np.ndarray, bundle: _Bundle, scenario: Scenario, noise_psd: float, k0: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(full-rate anchors, statistics) for one already-derotated stream.
-
-    One cascade per radio over its L/M bands, statistics summed in radio
-    order; known noise pins each whitener to N0/M.  M = 1 is the SRB case.
-    Given the packet start k0 of a signal trial, only the windows within
-    p + L of k0 are returned: this is the one definition of the windows
-    a trial reads, in both whitening modes.  With known noise each radio
-    pushes just the input_span of its sub-stream, cut after the band
-    split (one FFT of the whole stream); a tracked window reads the hops
-    before it, so a tracked stream is pushed whole.
-    """
-    radios = scenario.detector.radios
-    l = bundle.wf.num_subbands
-    override = np.full(l // radios, noise_psd / radios) if scenario.known_noise else None
-    subs = [x]
-    if radios > 1:
-        padded = np.concatenate([x, np.zeros((-x.size) % l, dtype=np.complex128)])
-        subs = ideal_band_split(padded, l, radios)
-    start = 0
-    if k0 is not None:
-        reach = scenario.detector.p + l
-        first = -(-(k0 - reach) // l) * l
-        last = (k0 + reach) // l * l
-        if scenario.known_noise:
-            start, stop = input_span(bundle.radio_cfgs[0], first // radios, last // radios)
-            subs = [sub[start:stop] for sub in subs]
-    # every radio config has the same sizes and every sub-stream the same
-    # length, so one span serves all radios and all score the same windows
-    results = [
-        CascadeDetector(cfg_m, power_override=override).push(sub)
-        for cfg_m, sub in zip(bundle.radio_cfgs, subs)
-    ]
-    # added from the first radio's array on: a sum from +0.0 would
-    # turn a -0.0 statistic into +0.0
-    combined = results[0][1]
-    for _, stats_m in results[1:]:
-        combined = combined + stats_m
-    anchors = (results[0][0] + start) * radios
-    if k0 is None:
-        return anchors, combined
-    # the read windows; a sliced stream's earlier ones had silence for history
-    keep = (anchors >= first) & (anchors <= last)
-    return anchors[keep], combined[keep]
-
-
-def _stats_over_grid(
+def _scores(
     stream: ComplexSignal,
     bundle: _Bundle,
     scenario: Scenario,
     noise_psd: float,
     k0: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window max of the statistic across the CFO candidate grid."""
-    results = []
+    """(full-rate anchors, statistics), maxed over the CFO candidate grid.
+
+    Each candidate derotates the stream and runs one cascade per radio
+    over its L/M bands, statistics summed in radio order; known noise
+    pins each whitener to N0/M.  M = 1 is the SRB case.  Given the
+    packet start k0 of a signal trial, only the windows within p + L of
+    k0 are returned: this is the one definition of the windows a trial
+    reads, in both whitening modes.  With known noise each radio pushes
+    just the input_span of its sub-stream, cut after the band split (one
+    FFT of the whole stream); a tracked window reads the hops before it,
+    so a tracked stream is pushed whole.
+    """
+    radios = scenario.detector.radios
+    l = bundle.wf.num_subbands
+    override = np.full(l // radios, noise_psd / radios) if scenario.known_noise else None
+    start, stop = 0, None
+    if k0 is not None:
+        reach = scenario.detector.p + l
+        first = -(-(k0 - reach) // l) * l
+        last = (k0 + reach) // l * l
+        if scenario.known_noise:
+            # every radio config has the same sizes and every sub-stream
+            # the same length, so one span serves all radios
+            start, stop = input_span(bundle.radio_cfgs[0], first // radios, last // radios)
+    best = None
     for df in bundle.grid_hz:
-        x = apply_cfo(stream, -df)
-        results.append(_stats_single(x.samples, bundle, scenario, noise_psd, k0))
-    return results[0][0], np.max([s for _, s in results], axis=0)
+        x = apply_cfo(stream, -df).samples
+        subs = [x]
+        if radios > 1:
+            padded = np.concatenate([x, np.zeros((-x.size) % l, dtype=np.complex128)])
+            subs = ideal_band_split(padded, l, radios)
+        pushed = [
+            CascadeDetector(cfg_m, power_override=override).push(sub[start:stop])
+            for cfg_m, sub in zip(bundle.radio_cfgs, subs)
+        ]
+        stats = sum((s for _, s in pushed[1:]), pushed[0][1])
+        # statistics are 2*energy/beta, never NaN or -0.0, so a running
+        # maximum has the bits of the maximum over the stack
+        best = stats if best is None else np.maximum(best, stats)
+    anchors = (pushed[0][0] + start) * radios
+    if k0 is None:
+        return anchors, best
+    # the read windows; a sliced stream's earlier ones had silence for history
+    keep = (anchors >= first) & (anchors <= last)
+    return anchors[keep], best[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +397,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
     lead = l * int(rng.integers(bundle.lead_symbols_lo, bundle.lead_symbols_lo + 32))
     # assemble_stream takes the per-sample noise variance of the stream,
     # which is N0/L for a matched-filter-plane level N0
-    stream, k0 = assemble_stream(
+    stream = assemble_stream(
         rx, lead, bundle.trail_samples, noise_psd=n0 / l, seed=_draw_seed(rng)
     )
     if scenario.interference is not None:
@@ -416,7 +408,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)
 
-    _, stats = _stats_over_grid(stream, bundle, scenario, n0, k0)
+    _, stats = _scores(stream, bundle, scenario, n0, lead)
     return bool(np.any(stats > bundle.thr))
 
 
@@ -433,19 +425,13 @@ def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, in
     warmup = bundle.lead_symbols_lo * l
     windows_here = min(scenario.noise_windows, 512)
     length = warmup + windows_here * l + wf.preamble_length * l + bundle.trail_samples
-    stream, _ = assemble_stream(
-        None,
-        0,
-        length,
-        noise_psd=n0 / l,
-        seed=_draw_seed(rng),
-        sample_rate_hz=wf.sample_rate_hz,
-    )
+    nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), wf.sample_rate_hz)
+    stream = assemble_stream(nothing, 0, length, noise_psd=n0 / l, seed=_draw_seed(rng))
     if scenario.interference is not None:
         stream = add_interference(
             stream, scenario.interference, n0 / l, seed=_draw_seed(rng)
         )
-    _, stats = _stats_over_grid(stream, bundle, scenario, n0)
+    _, stats = _scores(stream, bundle, scenario, n0)
     return int(np.count_nonzero(stats > bundle.thr)), int(stats.size)
 
 
@@ -490,7 +476,7 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
 
     A trial counts as a detection when some window statistic crosses
     the threshold among the windows it reads: those whose anchor lies
-    within p + L samples of the true packet start, as _stats_single
+    within p + L samples of the true packet start, as _scores
     defines them in both whitening modes.  With known noise only those
     windows are scored.  False alarms are counted on separate noise-only
     streams at the same settings, every window of them.
@@ -574,36 +560,46 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
     next one starts; rerunning the same scenario skips finished points
     and rebuilds the CSV, so interrupted sweeps resume cheaply.  State
     files carry a scenario fingerprint and are refused when they do not
-    match, rather than silently mixing experiments.
+    match, rather than silently mixing experiments.  Every existing
+    state file is checked and the bundle built before anything is
+    written, so a refused resume or a scenario the cascade cannot run
+    leaves the directory as it was.
     """
+    fingerprint = _fingerprint(scenario)
+    done: dict[int, CurvePoint] = {}
+    for index, eta_db in enumerate(scenario.snr_sweep_db):
+        state_path = _point_state_path(out_dir, scenario, index)
+        if not os.path.exists(state_path):
+            continue
+        try:
+            with open(state_path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise OSError(f"cannot read point state {state_path}: {exc}") from exc
+        point, stored = _point_from_text(text, state_path)
+        if stored != fingerprint:
+            raise ValueError(
+                f"point state {state_path} belongs to a different scenario "
+                f"(fingerprint {stored}, expected {fingerprint})"
+            )
+        if _eta_key(point.eta_db) != _eta_key(eta_db):
+            raise ValueError(
+                f"point state {state_path} is for eta {point.eta_db} dB, "
+                f"expected {eta_db} dB"
+            )
+        done[index] = point
+    _bundle(scenario)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-    fingerprint = _fingerprint(scenario)
     save_scenario(scenario, os.path.join(out_dir, f"{scenario.name}.scenario.txt"))
     points: list[CurvePoint] = []
     for index, eta_db in enumerate(scenario.snr_sweep_db):
-        state_path = _point_state_path(out_dir, scenario, index)
-        if os.path.exists(state_path):
-            try:
-                with open(state_path) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise OSError(f"cannot read point state {state_path}: {exc}") from exc
-            point, stored = _point_from_text(text, state_path)
-            if stored != fingerprint:
-                raise ValueError(
-                    f"point state {state_path} belongs to a different scenario "
-                    f"(fingerprint {stored}, expected {fingerprint})"
-                )
-            if _eta_key(point.eta_db) != _eta_key(eta_db):
-                raise ValueError(
-                    f"point state {state_path} is for eta {point.eta_db} dB, "
-                    f"expected {eta_db} dB"
-                )
-        else:
+        point = done.get(index)
+        if point is None:
             point = run_point(scenario, eta_db, workers=workers)
+            state_path = _point_state_path(out_dir, scenario, index)
             _write_text(state_path, _point_to_text(point, fingerprint))
         points.append(point)
     _write_text(curve_csv_path(scenario, out_dir), _csv_text(points))

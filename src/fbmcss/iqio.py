@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic "OFMTIQ1\\0", a little-endian u64 sample count, then
 interleaved little-endian float32 (real, imag) pairs.  The sample rate
-travels in a sidecar text file (same key=value format as scenario
-configs) because the fixed 16-byte header has no room for it and
-existing captures should stay readable if the metadata is lost.
+travels in a sidecar text file of the one line `sample_rate_hz = <Hz>`
+because the fixed 16-byte header has no room for it and existing
+captures should stay readable if the metadata is lost; any other
+sidecar is refused.
 """
 
 from __future__ import annotations
@@ -56,19 +57,16 @@ def iq_write(signal, path: str | os.PathLike, sample_rate_hz: float | None = Non
             fh.write(f"sample_rate_hz = {float(sample_rate_hz)!r}\n")
 
 
-def _read_sidecar_rate(path: str | os.PathLike) -> float | None:
+def _read_sidecar_rate(path: str | os.PathLike) -> float:
     meta = sidecar_path(path)
     if not os.path.exists(meta):
-        return None
+        return 1.0
     with open(meta, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key.strip() == "sample_rate_hz":
-                return float(value.strip())
-    return None
+        key, _, value = fh.read().partition("=")
+    with contextlib.suppress(ValueError):
+        if key.strip() == "sample_rate_hz":
+            return float(value)
+    raise ValueError(f"{meta}: expected the one line 'sample_rate_hz = <Hz>'")
 
 
 def iq_read(path: str | os.PathLike) -> ComplexSignal:
@@ -86,5 +84,4 @@ def iq_read(path: str | os.PathLike) -> ComplexSignal:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, header promised {expected}")
     flat = np.frombuffer(payload, dtype="<f4")
     samples = flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)
-    rate = _read_sidecar_rate(path)
-    return ComplexSignal(samples, 1.0 if rate is None else rate)
+    return ComplexSignal(samples, _read_sidecar_rate(path))

@@ -106,9 +106,8 @@ def chi2_tail(dof: int, x: float) -> float:
 
 
 def _chi2_pdf(dof: int, x: float) -> float:
+    # x > 0: chi2_tail_inv keeps x strictly inside its bracket (lo, hi), lo >= 0
     a = 0.5 * dof
-    if x <= 0.0:
-        return 0.0 if dof > 2 else math.exp(-math.lgamma(a)) * 0.5 if dof == 2 else math.inf
     return 0.5 * math.exp((a - 1.0) * math.log(0.5 * x) - 0.5 * x - math.lgamma(a))
 
 

@@ -383,21 +383,19 @@ def _symbol_train(symbols: np.ndarray, q: np.ndarray, l: int) -> np.ndarray:
     return (windows[:, ::-1] @ block).ravel()[: (symbols.size - 1) * l + q.size]
 
 
-def generate_preamble(config: WaveformConfig, pulse: ComplexSignal | None = None) -> ComplexSignal:
+def generate_preamble(config: WaveformConfig, pulse: ComplexSignal) -> ComplexSignal:
     """Superpose symbol-shifted pulses: sum_n s[n] q(t - n T_b).
 
-    q is the spread pulse g (synthesize_pulse) unless `pulse` gives it.
-    Passing g through a channel first, apply_channel(g, c), gives the
-    received preamble: the channel is linear and time invariant, so
-    filtering the short pulse equals filtering the whole preamble.
-    Output length is (N - 1)*L + len(q) samples at rate L/T_b, which is
-    (N + span - 1)*L + 1 for g.  Sample index span*L/2 (see
-    pulse_origin_index) is the peak of the first pulse and serves as
-    the time origin for delay bookkeeping.
+    q is `pulse`: the spread pulse g from synthesize_pulse gives the
+    transmitted preamble.  Passing g through a channel first,
+    apply_channel(g, c), gives the received preamble: the channel is
+    linear and time invariant, so filtering the short pulse equals
+    filtering the whole preamble.  Output length is (N - 1)*L + len(q)
+    samples at rate L/T_b, which is (N + span - 1)*L + 1 for g.  Sample
+    index span*L/2 (see pulse_origin_index) is the peak of the first
+    pulse and serves as the time origin for delay bookkeeping.
     """
-    if pulse is None:
-        pulse = synthesize_pulse(config)
-    elif pulse.sample_rate_hz != config.sample_rate_hz:
+    if pulse.sample_rate_hz != config.sample_rate_hz:
         raise ValueError("pulse sample rate must equal the waveform's")
     train = _symbol_train(config.preamble_symbols, pulse.samples, config.num_subbands)
     return ComplexSignal(train, config.sample_rate_hz)

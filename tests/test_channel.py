@@ -148,7 +148,7 @@ class TestApplyChannel:
         wf = WaveformSpec(256, 12, 256 / fs, sign_seed=seed, symbol_seed=seed).build()
         channel = generate_multipath(DelaySpreadProfile(False, 80.0, 27.0), seed=seed)
         assert channel.gains.size > 50
-        want = apply_channel(generate_preamble(wf), channel).samples
+        want = apply_channel(generate_preamble(wf, synthesize_pulse(wf)), channel).samples
         got = generate_preamble(wf, apply_channel(synthesize_pulse(wf), channel)).samples
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -163,16 +163,15 @@ class TestAddAwgn:
         # carries N0/L per sample (the filter's energy gain is L), which
         # is the variance the harness hands to assemble_stream
         n0, l = 4.0, 16
-        out, _ = assemble_stream(
-            None, 0, 1_000_000, noise_psd=n0 / l, seed=4, sample_rate_hz=1.0
-        )
+        nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), 1.0)
+        out = assemble_stream(nothing, 0, 1_000_000, noise_psd=n0 / l, seed=4)
         var = np.mean(np.abs(out.samples) ** 2)
         assert var == pytest.approx(n0 / l, rel=0.01)
 
     def test_deterministic(self, config):
         g = synthesize_pulse(config)
-        a, _ = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
-        b, _ = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
+        a = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
+        b = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
         assert a.samples.tobytes() == b.samples.tobytes()
 
 
@@ -242,18 +241,22 @@ class TestAssembleStream:
     def test_start_index(self, config):
         g = synthesize_pulse(config)
         for lead in (0, 1000):
-            stream, start = assemble_stream(g, lead, 50, noise_psd=1e-6, seed=1)
-            assert start == lead
+            stream = assemble_stream(g, lead, 50, noise_psd=1e-6, seed=1)
             assert len(stream) == lead + len(g) + 50
+            # the preamble sits at lead: the stream is the noise-only
+            # stream of the same length and seed plus g there
+            nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), g.sample_rate_hz)
+            noise = assemble_stream(nothing, 0, len(stream), noise_psd=1e-6, seed=1).samples
+            noise[lead : lead + len(g)] += g.samples
+            assert stream.samples.tobytes() == noise.tobytes()
 
     def test_noise_only(self):
-        stream, start = assemble_stream(
-            None, 0, 4096, noise_psd=2.0, seed=7, sample_rate_hz=1e6
-        )
-        assert start == 0
+        nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), 1e6)
+        stream = assemble_stream(nothing, 0, 4096, noise_psd=2.0, seed=7)
+        assert len(stream) == 4096 and stream.sample_rate_hz == 1e6
         assert np.mean(np.abs(stream.samples) ** 2) == pytest.approx(2.0, rel=0.1)
 
     def test_preamble_section_contains_signal(self, config):
         g = synthesize_pulse(config)
-        stream, start = assemble_stream(g, 200, 0, noise_psd=1e-12, seed=3)
+        stream = assemble_stream(g, 200, 0, noise_psd=1e-12, seed=3)
         assert np.allclose(stream.samples[200 : 200 + len(g)], g.samples, atol=1e-4)

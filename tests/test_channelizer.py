@@ -170,7 +170,7 @@ class TestChannelizerConfig:
         assert tracked_first_anchor(c) > 0
         assert calls == built
         moved = {"tail", "next_hop", "tail_hop", "z_tail", "next_frame", "next_anchor"}
-        moved |= {"rev", "rows", "fwd", "last_silent"}
+        moved |= {"block", "fwd", "last_silent"}
         for make in (analysis_state, power_state, synthesis_state, mf_state):
             assert {f.name for f in dataclasses.fields(make(c))} <= moved
 
@@ -460,15 +460,15 @@ class TestBandPowerTracking:
     def test_state_does_not_grow(self, cfg):
         st_a = analysis_state(cfg)
         st_p = power_state(cfg)
-        shapes = [(a.shape, a.dtype) for a in (st_p.rev, st_p.rows, st_p.fwd)]
+        shapes = [(a.shape, a.dtype) for a in (st_p.block, st_p.fwd)]
         x = white(200 * cfg.fifo_capacity * cfg.hop, N0 / L, 63)
         for lo in range(0, x.size, 9999):
             piece = x[lo : lo + 9999]
             silent = _silent_hops(piece, cfg, st_a)
             track_power(afb_process(piece, cfg, st_a), silent, cfg, st_p)
-            assert [(a.shape, a.dtype) for a in (st_p.rev, st_p.rows, st_p.fwd)] == shapes
+            assert [(a.shape, a.dtype) for a in (st_p.block, st_p.fwd)] == shapes
         assert st_p.next_hop == st_a.next_hop > 190 * cfg.fifo_capacity
-        assert shapes == [((cfg.fifo_capacity, L), np.float64)] * 2 + [((L,), np.float64)]
+        assert shapes == [((cfg.fifo_capacity, L), np.float64), ((L,), np.float64)]
 
     def test_silent_hops_hold_an_aligned_zero_block(self, cfg):
         # hop i is silent when [i*hop, i*hop + taps.size) fully contains
@@ -937,25 +937,25 @@ class TestStatisticEquivalence:
 
 class TestDetection:
     def embedded_preamble(self, wf, amp, lead, trail, seed):
-        g = generate_preamble(wf)
+        g = generate_preamble(wf, synthesize_pulse(wf))
         sig = ComplexSignal(g.samples * amp, g.sample_rate_hz)
         return assemble_stream(sig, lead, trail, N0 / L, seed=seed)
 
     def test_tracked_mode_pins_preamble_start(self, wf, cfg):
-        stream, k0 = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
+        stream = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
         anchors, stats = CascadeDetector(cfg).push(stream.samples)
-        assert anchors[np.argmax(stats)] == k0
+        assert anchors[np.argmax(stats)] == 1600
         assert stats.max() > threshold(1e-3, P)
 
     def test_calibrated_mode_pins_preamble_start(self, wf, cfg):
-        stream, k0 = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
+        stream = self.embedded_preamble(wf, 0.4, 1600, 1500, 9)
         det = CascadeDetector(cfg, power_override=np.full(L, N0))
         anchors, stats = det.push(stream.samples)
-        assert anchors[np.argmax(stats)] == k0
+        assert anchors[np.argmax(stats)] == 1600
         assert np.count_nonzero(stats > threshold(1e-3, P)) == 3
 
     def test_weak_preamble_stays_quiet(self, wf, cfg):
-        stream, _ = self.embedded_preamble(wf, 0.15, 1600, 1500, 9)
+        stream = self.embedded_preamble(wf, 0.15, 1600, 1500, 9)
         det = CascadeDetector(cfg, power_override=np.full(L, N0))
         _, stats = det.push(stream.samples)
         assert stats.size > 0

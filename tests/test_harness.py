@@ -101,6 +101,36 @@ class TestRunCurve:
             harness.run_curve(tiny(root_seed=1), str(tmp_path))
 
 
+    def test_refused_resume_leaves_directory_unchanged(self, tmp_path):
+        curve_bytes(tiny(), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="different scenario"):
+            harness.run_curve(tiny(root_seed=1), str(tmp_path))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "waveform_changes, p, message",
+        [
+            ({"num_subbands": 0}, 2, "samples_per_symbol"),
+            ({"num_subbands": 15}, 2, "num_subbands must be even"),
+            ({"preamble_length": 0}, 2, "length must be >= 1"),
+            ({}, L, "branch_count"),
+        ],
+        ids=["L_zero", "L_odd", "N_zero", "p_not_below_L"],
+    )
+    def test_scenario_the_cascade_cannot_run_writes_nothing(
+        self, tmp_path, waveform_changes, p, message
+    ):
+        # each constructs fine and fails only in the bundle
+        sc = tiny(
+            waveform=dataclasses.replace(tiny().waveform, **waveform_changes),
+            detector=DetectionConfig(p=p, p_fa=1e-2),
+        )
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            harness.run_curve(sc, str(out_dir))
+        assert not out_dir.exists()
+
     def test_state_file_for_another_eta_refused(self, tmp_path):
         curve_bytes(tiny(), tmp_path)
         # swap the two points' state files: same fingerprint, wrong slots
@@ -286,8 +316,8 @@ class TestOneReceiverPath:
         sc = tiny(known_noise=known_noise)
         bundle = harness._bundle(sc)
         assert bundle.radio_cfgs == (bundle.cfg,)
-        stream, _ = assemble_stream(bundle.tx, 896, 900, N0 / L, seed=17)
-        anchors, stats = harness._stats_single(stream.samples, bundle, sc, N0)
+        stream = assemble_stream(bundle.tx, 896, 900, N0 / L, seed=17)
+        anchors, stats = harness._scores(stream, bundle, sc, N0)
         override = np.full(L, N0) if known_noise else None
         want_anchors, want_stats = CascadeDetector(
             bundle.cfg, power_override=override
@@ -298,20 +328,20 @@ class TestOneReceiverPath:
 
 
 def spied(monkeypatch, fn, *args):
-    """fn(*args), each _stats_over_grid call's arguments, the lengths pushed."""
+    """fn(*args), each _scores call's arguments, the lengths pushed."""
     calls, pushed = [], []
-    grid, push = harness._stats_over_grid, CascadeDetector.push
+    scores, push = harness._scores, CascadeDetector.push
 
-    def spy_grid(*grid_args):
-        calls.append(grid_args)
-        return grid(*grid_args)
+    def spy_scores(*score_args):
+        calls.append(score_args)
+        return scores(*score_args)
 
     def spy_push(det, chunk):
         pushed.append(len(chunk))
         return push(det, chunk)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_stats_over_grid", spy_grid)
+        patch.setattr(harness, "_scores", spy_scores)
         patch.setattr(CascadeDetector, "push", spy_push)
         return fn(*args), calls, pushed
 
@@ -344,8 +374,8 @@ class TestSlicedSignalTrial:
         for trial in range(8):
             hit, calls, pushed = spied(monkeypatch, harness._signal_trial, sc, eta, trial)
             ((stream, _, _, n0, k0),) = calls
-            anchors, stats = harness._stats_over_grid(stream, bundle, sc, n0, k0)
-            full_anchors, full_stats = harness._stats_over_grid(stream, bundle, sc, n0)
+            anchors, stats = harness._scores(stream, bundle, sc, n0, k0)
+            full_anchors, full_stats = harness._scores(stream, bundle, sc, n0)
             read = np.abs(full_anchors - k0) <= sc.detector.p + L
             assert np.count_nonzero(read) >= 2
             assert anchors.tobytes() == full_anchors[read].tobytes()
@@ -372,8 +402,8 @@ class TestSlicedSignalTrial:
         for trial in range(8):
             hit, calls, _ = spied(monkeypatch, harness._signal_trial, sc, eta, trial)
             ((stream, _, _, n0, k0),) = calls
-            anchors, stats = harness._stats_over_grid(stream, bundle, sc, n0, k0)
-            full_anchors, full_stats = harness._stats_over_grid(stream, bundle, sc, n0)
+            anchors, stats = harness._scores(stream, bundle, sc, n0, k0)
+            full_anchors, full_stats = harness._scores(stream, bundle, sc, n0)
             read = np.abs(full_anchors - k0) <= sc.detector.p + L
             assert np.count_nonzero(read) >= 2
             assert anchors.tobytes() == full_anchors[read].tobytes()
@@ -431,9 +461,10 @@ class TestCfoSearch:
         assert df in bundle.grid_hz
         tx = bundle.tx
         sig = ComplexSignal(tx.samples * 0.4, tx.sample_rate_hz)
-        stream, k0 = assemble_stream(sig, 896, 900, N0 / L, seed=13)
+        k0 = 896
+        stream = assemble_stream(sig, k0, 900, N0 / L, seed=13)
         shifted = apply_cfo(stream, df)
-        anchors, best = harness._stats_over_grid(shifted, bundle, sc, N0)
+        anchors, best = harness._scores(shifted, bundle, sc, N0)
         assert anchors[int(np.argmax(best))] == k0
         # at the packet the grid maximum is the correctly derotated score
         det = CascadeDetector(bundle.cfg, power_override=np.full(L, N0))

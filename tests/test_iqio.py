@@ -1,9 +1,11 @@
 """File round-trip checks for the interleaved float32 IQ format."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fbmcss.iqio import iq_read, iq_write
+from fbmcss.iqio import iq_read, iq_write, sidecar_path
 from fbmcss.numerics import ComplexSignal
 
 
@@ -76,3 +78,29 @@ class TestErrors:
     def test_rejects_matrix_input(self, tmp_path):
         with pytest.raises(ValueError):
             iq_write(np.ones((2, 2), dtype=complex), tmp_path / "m.iq")
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("rate", [1.0, 5e8, 1.28e9, 31.25e6 / 3])
+    def test_written_sidecar_round_trips(self, tmp_path, rate):
+        path = tmp_path / "s.iq"
+        iq_write(np.ones(2, dtype=complex), path, sample_rate_hz=rate)
+        assert iq_read(path).sample_rate_hz == rate
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sample_rate_hz: 5e8\n",
+            "samplerate = 5e8\n",
+            "sample_rate_hz = 5e8\nsample_rate_hz = 5e8\n",
+            "sample_rate_hz = fast\n",
+        ],
+        ids=["colon", "misspelt_key", "duplicate", "non_numeric"],
+    )
+    def test_anything_but_one_rate_line_refused(self, tmp_path, text):
+        path = tmp_path / "s.iq"
+        iq_write(np.ones(2, dtype=complex), path)
+        with open(sidecar_path(path), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=re.escape(sidecar_path(path))):
+            iq_read(path)

@@ -243,7 +243,7 @@ class TestGeneratePreamble:
             code=make_spreading_code(L, sign_seed=1),
             preamble_symbols=np.array([1.0 + 0j]),
         )
-        pre = generate_preamble(cfg).samples
+        pre = generate_preamble(cfg, synthesize_pulse(cfg)).samples
         g = synthesize_pulse(cfg).samples
         assert np.array_equal(pre, g)
 
@@ -255,7 +255,7 @@ class TestGeneratePreamble:
             code=make_spreading_code(L, sign_seed=1),
             preamble_symbols=np.array([1.0 + 0j, -1.0 + 0j]),
         )
-        pre = generate_preamble(cfg).samples
+        pre = generate_preamble(cfg, synthesize_pulse(cfg)).samples
         g = synthesize_pulse(cfg).samples
         direct = np.zeros(pre.size, dtype=complex)
         direct[: g.size] += g
@@ -269,7 +269,8 @@ class TestGeneratePreamble:
         g = synthesize_pulse(cfg).samples
         up = np.zeros((n - 1) * l + 1, dtype=complex)
         up[::l] = cfg.preamble_symbols
-        assert max_rel_error(generate_preamble(cfg).samples, np.convolve(up, g)) <= 1e-12
+        pre = generate_preamble(cfg, synthesize_pulse(cfg)).samples
+        assert max_rel_error(pre, np.convolve(up, g)) <= 1e-12
 
     def test_any_pulse_length(self, config):
         # pulses shorter than a symbol, a whole number of symbols, and one
@@ -290,7 +291,7 @@ class TestGeneratePreamble:
             generate_preamble(config, ComplexSignal(g.samples, 2 * g.sample_rate_hz))
 
     def test_length_and_origin(self, config):
-        pre = generate_preamble(config)
+        pre = generate_preamble(config, synthesize_pulse(config))
         n = config.preamble_length
         assert len(pre) == (n + SPAN - 1) * L + 1
         assert pulse_origin_index(config.prototype) == SPAN * L // 2
@@ -304,7 +305,7 @@ class TestGeneratePreamble:
             code=make_spreading_code(L, sign_seed=1),
             preamble_symbols=make_preamble_symbols(32, symbol_seed=9),
         )
-        pre = generate_preamble(cfg).samples
+        pre = generate_preamble(cfg, synthesize_pulse(cfg)).samples
         g = synthesize_pulse(cfg).samples
         assert np.vdot(pre, pre).real == pytest.approx(32 * np.vdot(g, g).real, rel=0.02)
 
