@@ -1,4 +1,4 @@
-"""Synthetic impairment chain: multipath, noise, interference, CFO.
+"""Synthetic impairment chain: multipath, noise, CFO.
 
 The multipath generator draws taps on a uniform delay grid with
 exponentially decaying mean power, complex Gaussian gains and, for LOS,
@@ -27,12 +27,10 @@ from .numerics import ComplexSignal
 __all__ = [
     "ChannelRealization",
     "DelaySpreadProfile",
-    "InterferenceConfig",
     "generate_multipath",
     "effective_taps",
     "apply_channel",
     "noise_psd_from_eta",
-    "add_interference",
     "apply_cfo",
     "assemble_stream",
 ]
@@ -71,31 +69,6 @@ class DelaySpreadProfile:
         for label in ("target_95pct_duration_ns", "decay_constant_ns", "tap_spacing_ns"):
             if not 0.0 < getattr(self, label) < math.inf:
                 raise ValueError(f"{label} must be positive and finite")
-
-
-@dataclass(frozen=True)
-class InterferenceConfig:
-    count: int
-    bandwidth_hz: float
-    psd_above_noise_db_range: tuple[float, float]
-    band_edges_hz: tuple[float, float]
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if not math.isfinite(self.bandwidth_hz):
-            raise ValueError("bandwidth_hz must be finite")
-        if self.count > 0 and not self.bandwidth_hz > 0.0:
-            raise ValueError("bandwidth must be positive")
-        for label in ("psd_above_noise_db_range", "band_edges_hz"):
-            lo, hi = getattr(self, label)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{label} must be finite")
-            if lo > hi:
-                raise ValueError(f"{label} must satisfy low <= high")
-        lo_edge, hi_edge = self.band_edges_hz
-        if self.count > 0 and self.bandwidth_hz > hi_edge - lo_edge:
-            raise ValueError("interferer bandwidth exceeds the band edges")
 
 
 _LOS_K = 2.0  # deterministic-to-diffuse power ratio of the first tap
@@ -173,46 +146,6 @@ def apply_channel(signal: ComplexSignal, channel: ChannelRealization) -> Complex
 def noise_psd_from_eta(eta_db: float, theta: np.ndarray, num_subbands: int) -> float:
     """N0 such that theta^H theta / (L * N0) equals the requested eta."""
     return float(np.sum(np.abs(theta) ** 2)) / (num_subbands * 10.0 ** (eta_db / 10.0))
-
-
-def _lowpass_taps(cutoff_norm: float, num_taps: int = 128) -> np.ndarray:
-    """Windowed-sinc lowpass, unity passband gain, cutoff in cycles/sample."""
-    n = np.arange(num_taps) - (num_taps - 1) / 2.0
-    taps = 2.0 * cutoff_norm * np.sinc(2.0 * cutoff_norm * n) * np.hamming(num_taps)
-    return taps / np.sum(taps)
-
-
-def add_interference(
-    signal: ComplexSignal, cfg: InterferenceConfig, noise_psd: float, seed: int
-) -> ComplexSignal:
-    """Add band-limited Gaussian interferers at random centers.
-
-    Each interferer is white noise shaped by a 128-tap windowed-sinc of
-    the configured bandwidth, mixed to a center drawn uniformly from the
-    configured band, with in-band PSD a uniform-in-dB factor above
-    `noise_psd`.  `noise_psd` here is the per-sample noise variance of
-    the stream the interferer lands in (the periodogram floor).
-    """
-    if cfg.count == 0:
-        return signal
-    fs = signal.sample_rate_hz
-    lo_edge, hi_edge = cfg.band_edges_hz
-    if hi_edge - lo_edge > fs:
-        raise ValueError("band edges exceed the sampled bandwidth")
-    rng = np.random.default_rng(seed)
-    taps = _lowpass_taps(cfg.bandwidth_hz / fs / 2.0)
-    n = len(signal)
-    t = np.arange(n)
-    out = signal.samples.copy()
-    lo_db, hi_db = cfg.psd_above_noise_db_range
-    for _ in range(cfg.count):
-        level_db = rng.uniform(lo_db, hi_db)
-        center = rng.uniform(lo_edge + cfg.bandwidth_hz / 2.0, hi_edge - cfg.bandwidth_hz / 2.0)
-        white = (rng.standard_normal(n + taps.size) + 1j * rng.standard_normal(n + taps.size)) / math.sqrt(2.0)
-        shaped = np.convolve(white, taps, mode="valid")[:n]
-        psd_target = noise_psd * 10.0 ** (level_db / 10.0)
-        out += math.sqrt(psd_target) * shaped * np.exp(2j * np.pi * center / fs * t)
-    return ComplexSignal(out, signal.sample_rate_hz)
 
 
 def apply_cfo(signal: ComplexSignal, delta_f_hz: float) -> ComplexSignal:

@@ -29,7 +29,6 @@ __all__ = [
     "noncentrality_at_eta",
     "theory_pd",
     "eta_for_pd",
-    "cfo_grid_span_hz",
     "cfo_grid",
     "fim_matrix",
     "fim_approx_report",
@@ -374,7 +373,7 @@ def ideal_band_split(y: np.ndarray, num_subbands: int, radios: int) -> list[np.n
 _CFO_MAX_LOSS_DB = 1.0
 
 
-def cfo_grid_span_hz(preamble_duration_s: float) -> float:
+def _cfo_spacing_hz(preamble_duration_s: float) -> float:
     """Grid spacing for a worst-case straddle loss of _CFO_MAX_LOSS_DB.
 
     An offset df sustained over the whole preamble scales the coherent
@@ -397,6 +396,6 @@ def cfo_grid(range_hz: float, preamble_duration_s: float) -> np.ndarray:
         raise ValueError("range_hz must be >= 0")
     if range_hz == 0.0:
         return np.zeros(1)
-    spacing = cfo_grid_span_hz(preamble_duration_s)
+    spacing = _cfo_spacing_hz(preamble_duration_s)
     count = max(2, int(math.ceil(2.0 * range_hz / spacing)) + 1)
     return np.linspace(-range_hz, range_hz, count)

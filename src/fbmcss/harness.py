@@ -1,8 +1,8 @@
 """Monte Carlo experiment engine for the packet detector.
 
 A Scenario bundles everything one detection-probability curve needs:
-the waveform recipe, a channel profile, optional interference and CFO,
-the detector settings, and the trial budget.  run_point scores one SNR
+the waveform recipe, a channel profile, an optional CFO range, the
+detector settings, and the trial budget.  run_point scores one SNR
 point (signal trials plus a separate noise-only false-alarm count, next
 to the chi-squared theory P_D from detector) and run_curve sweeps the
 scenario's SNR grid, persisting each finished point so an interrupted
@@ -41,8 +41,6 @@ from . import waveform
 from .channel import (
     ChannelRealization,
     DelaySpreadProfile,
-    InterferenceConfig,
-    add_interference,
     apply_cfo,
     apply_channel,
     assemble_stream,
@@ -97,11 +95,13 @@ _TAG_NOISE = 2
 class Scenario:
     """One experiment: a waveform in a channel, swept over SNR.
 
+    The impairments are the paper's: an optional multipath profile,
+    white noise at the swept SNR and an optional carrier offset.
     The receiver is detector.radios = M cascades over M contiguous
     sub-bands of the stream, whose statistics are summed; M = 1 is the
     single-radio receiver, one cascade over the full band.
     cfo_range_hz > 0 turns on a uniform carrier offset in
-    [-range, +range] per signal trial and a search over cfo_grid_hz,
+    [-range, +range] per signal trial and a search over detector.cfo_grid,
     whose size is the candidate count j of the threshold and the theory
     curve.  known_noise pins each trial's whitener to the true noise
     level (the calibrated detector the theory curves describe); with it
@@ -113,7 +113,6 @@ class Scenario:
     name: str
     waveform: WaveformSpec
     channel_profile: DelaySpreadProfile | None
-    interference: InterferenceConfig | None
     snr_sweep_db: tuple[float, ...]
     detector: DetectionConfig
     trials_per_point: int
@@ -138,14 +137,6 @@ class Scenario:
             raise ValueError("radio count must divide the subband count")
         if not 0.0 <= self.cfo_range_hz < math.inf:
             raise ValueError("cfo_range_hz must be >= 0 and finite")
-        if self.interference is not None and self.interference.count > 0:
-            lo, hi = self.interference.band_edges_hz
-            if hi - lo > self.waveform.sample_rate_hz:
-                raise ValueError("interference band edges exceed the sample rate")
-
-    @property
-    def cfo_grid_hz(self) -> np.ndarray:
-        return cfo_grid(self.cfo_range_hz, self.waveform.preamble_duration_s)
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
     # the radio configs share their sizes, so radio 0's warm-up is every radio's
     warmup = tracked_first_anchor(radio_cfgs[0]) * det.radios
     l = wf.num_subbands
-    grid_hz = scenario.cfo_grid_hz
+    grid_hz = cfo_grid(scenario.cfo_range_hz, scenario.waveform.preamble_duration_s)
     # lead is drawn past the tracked warm-up even in calibrated runs so
     # matched-seed comparisons of the two whitening modes stay aligned
     lead_lo = warmup // l + 2
@@ -400,10 +391,6 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
     stream = assemble_stream(
         rx, lead, bundle.trail_samples, noise_psd=n0 / l, seed=_draw_seed(rng)
     )
-    if scenario.interference is not None:
-        stream = add_interference(
-            stream, scenario.interference, n0 / l, seed=_draw_seed(rng)
-        )
     if scenario.cfo_range_hz > 0.0:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)
@@ -427,10 +414,6 @@ def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, in
     length = warmup + windows_here * l + wf.preamble_length * l + bundle.trail_samples
     nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), wf.sample_rate_hz)
     stream = assemble_stream(nothing, 0, length, noise_psd=n0 / l, seed=_draw_seed(rng))
-    if scenario.interference is not None:
-        stream = add_interference(
-            stream, scenario.interference, n0 / l, seed=_draw_seed(rng)
-        )
     _, stats = _scores(stream, bundle, scenario, n0)
     return int(np.count_nonzero(stats > bundle.thr)), int(stats.size)
 
@@ -760,7 +743,6 @@ def _desk() -> Scenario:
         name="desk",
         waveform=spec,
         channel_profile=None,
-        interference=None,
         snr_sweep_db=sweep,
         detector=det,
         trials_per_point=600,
@@ -793,7 +775,6 @@ def _paper(
             target_95pct_duration_ns=80.0,
             decay_constant_ns=27.0,
         ),
-        interference=None,
         snr_sweep_db=sweep,
         detector=det,
         trials_per_point=1000,

@@ -5,12 +5,13 @@ interleaved little-endian float32 (real, imag) pairs.  The sample rate
 travels in a sidecar text file of the one line `sample_rate_hz = <Hz>`
 because the fixed 16-byte header has no room for it and existing
 captures should stay readable if the metadata is lost; any other
-sidecar is refused.
+sidecar, or a rate that is not positive and finite, is refused.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -64,9 +65,10 @@ def _read_sidecar_rate(path: str | os.PathLike) -> float:
     with open(meta, encoding="utf-8") as fh:
         key, _, value = fh.read().partition("=")
     with contextlib.suppress(ValueError):
-        if key.strip() == "sample_rate_hz":
-            return float(value)
-    raise ValueError(f"{meta}: expected the one line 'sample_rate_hz = <Hz>'")
+        rate = float(value)
+        if key.strip() == "sample_rate_hz" and 0.0 < rate < math.inf:
+            return rate
+    raise ValueError(f"{meta}: expected the one line 'sample_rate_hz = <Hz>', Hz > 0 and finite")
 
 
 def iq_read(path: str | os.PathLike) -> ComplexSignal:

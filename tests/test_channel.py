@@ -1,5 +1,5 @@
-"""Impairment-chain contracts: multipath statistics, SNR calibration,
-interference shaping, CFO, and stream assembly."""
+"""Impairment-chain contracts: multipath statistics, SNR calibration, CFO,
+and stream assembly."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ import pytest
 from fbmcss.channel import (
     ChannelRealization,
     DelaySpreadProfile,
-    InterferenceConfig,
-    add_interference,
     apply_cfo,
     apply_channel,
     assemble_stream,
@@ -173,48 +171,6 @@ class TestAddAwgn:
         a = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
         b = assemble_stream(g, 64, 64, noise_psd=1.0 / 16, seed=9)
         assert a.samples.tobytes() == b.samples.tobytes()
-
-
-class TestAddInterference:
-    def test_count_zero_identity(self):
-        sig = ComplexSignal(np.ones(128, dtype=complex), 1e6)
-        cfg = InterferenceConfig(0, 1.0, (5.0, 40.0), (-4e5, 4e5))
-        out = add_interference(sig, cfg, noise_psd=1.0, seed=0)
-        assert np.array_equal(out.samples, sig.samples)
-
-    def test_strong_interferer_psd_bump(self):
-        fs = 500e6
-        rng = np.random.default_rng(21)
-        n = 1 << 16
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        sig = ComplexSignal(noise, fs)
-        cfg = InterferenceConfig(1, 20e6, (40.0, 40.0), (-200e6, 200e6))
-        out = add_interference(sig, cfg, noise_psd=1.0, seed=22)
-        # Bartlett periodogram, 256-bin segments
-        seg = 256
-        frames = out.samples[: n // seg * seg].reshape(-1, seg)
-        psd = np.mean(np.abs(np.fft.fft(frames, axis=1)) ** 2, axis=0) / seg
-        floor = np.median(psd)
-        peak_bin = int(np.argmax(psd))
-        half = int(round(10e6 / fs * seg))  # half the 20 MHz slice
-        idx = (peak_bin + np.arange(-half, half + 1)) % seg
-        bump_db = 10 * np.log10(np.mean(psd[idx]) / floor)
-        assert bump_db >= 35.0
-
-    def test_bandwidth_validation(self):
-        # band edges wider than the stream's sampled bandwidth
-        sig = ComplexSignal(np.ones(128, dtype=complex), 1e6)
-        cfg = InterferenceConfig(1, 2e5, (5.0, 40.0), (-8e5, 8e5))
-        with pytest.raises(ValueError, match="band edges exceed the sampled bandwidth"):
-            add_interference(sig, cfg, noise_psd=1.0, seed=0)
-
-
-    def test_bandwidth_past_band_edges_refused_at_construction(self):
-        with pytest.raises(ValueError, match="bandwidth exceeds the band edges"):
-            InterferenceConfig(1, 2e6, (5.0, 40.0), (-4e5, 4e5))
-        # as wide as the edges, or no interferers at all, is accepted
-        InterferenceConfig(1, 8e5, (5.0, 40.0), (-4e5, 4e5))
-        InterferenceConfig(0, 2e6, (5.0, 40.0), (-4e5, 4e5))
 
 
 class TestApplyCfo:

@@ -1118,6 +1118,47 @@ class TestDetection:
         assert tracked_anchors[0] % L == 0
 
 
+class TestToneInOneBand:
+    """A strong narrowband interferer through the whole desk cascade: the
+    tracked whitener holds the statistic's null mean, a white calibration
+    lets the tone through."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        sc = preset("desk")
+        return ChannelizerConfig(sc.waveform.build(), sc.detector.p)
+
+    @staticmethod
+    def mean_over_2p(x, cfg, override=None):
+        _, stats = CascadeDetector(cfg, power_override=override).push(x)
+        return float(np.mean(stats)) / (2 * cfg.branch_count)
+
+    @pytest.mark.parametrize("tone_db", [20.0, 40.0])
+    def test_tracked_mean_stays_at_its_tone_free_level(self, desk, tone_db):
+        l = desk.num_subbands
+        n = 400_000
+        # N0 = 1 at the matched-filter plane: variance 1/(2L) per component
+        noise = white(n, 1.0 / l, 3)
+        # tone power tone_db over the stream's noise power, 0.1 of a band
+        # spacing off band 20's center
+        nu = desk.waveform.normalized_frequencies()[20] + 0.1 / l
+        tone = np.sqrt(10 ** (tone_db / 10) / l) * np.exp(2j * np.pi * nu * np.arange(n))
+        white_phi = np.ones(l)
+        tracked_free = self.mean_over_2p(noise, desk)
+        calibrated_free = self.mean_over_2p(noise, desk, white_phi)
+        tracked = self.mean_over_2p(noise + tone, desk)
+        calibrated = self.mean_over_2p(noise + tone, desk, white_phi)
+        # measured over seeds 0-11: tone-free tracked 1.038-1.060 (its
+        # estimator's bias) and calibrated 0.99-1.02.  Over 22 seed runs
+        # at this offset and at 0.13, the tone moved tracked by at most
+        # 0.69% of its tone-free mean (seed 3 here: -0.42% at +20 dB,
+        # -0.66% at +40 dB); 3% keeps four times that.  Calibrated read
+        # 91 and 9,037.
+        assert abs(calibrated_free - 1.0) < 0.05
+        assert abs(tracked / tracked_free - 1.0) < 0.03
+        assert calibrated > 0.5 * 10 ** (tone_db / 10)
+
+
 def direct_pass(x, cfg, phi):
     """Calibrated statistics of one pass of each stage over all of x."""
     values = afb_process(x, cfg, analysis_state(cfg))

@@ -24,7 +24,6 @@ from fbmcss import detector
 from fbmcss.detector import (
     DetectionConfig,
     cfo_grid,
-    cfo_grid_span_hz,
     compute_beta,
     eta_for_pd,
     fim_approx_report,
@@ -514,7 +513,7 @@ class TestBisect:
         target = 10.0 ** (-1.0 / 20.0)
         gamma = threshold(1e-8, 40)
         cases = [
-            # cfo_grid_span_hz's predicate and bracket
+            # _cfo_spacing_hz's predicate and bracket
             (lambda u: math.sin(u) / u > target, 0.0, math.pi),
             # eta_for_pd's, at narrowband's P_D = 0.5 knee
             (lambda lam: detector.noncentral_chi2_tail(80, lam, gamma) < 0.5, 0.0, 128.0),
@@ -550,12 +549,12 @@ class TestDeflection:
 class TestCfoGrid:
     def test_spacing_constant(self):
         duration = 2.0009e-3
-        spacing = cfo_grid_span_hz(duration)
+        spacing = detector._cfo_spacing_hz(duration)
         assert 0.50 < spacing * duration < 0.53
 
     def test_worst_case_loss_is_budget(self):
         duration = 1e-3
-        spacing = cfo_grid_span_hz(duration)
+        spacing = detector._cfo_spacing_hz(duration)
         u = math.pi * (spacing / 2.0) * duration
         loss_db = -20.0 * math.log10(math.sin(u) / u)
         assert loss_db == pytest.approx(1.0, abs=1e-6)
@@ -572,13 +571,13 @@ class TestCfoGrid:
     def test_grid_shape(self):
         grid = cfo_grid(7e3, 2e-3)
         assert grid[0] == -7e3 and grid[-1] == 7e3
-        assert len(grid) >= 2 * 7e3 / cfo_grid_span_hz(2e-3)
+        assert len(grid) >= 2 * 7e3 / detector._cfo_spacing_hz(2e-3)
         assert np.all(np.diff(grid) > 0)
         assert np.array_equal(cfo_grid(0.0, 2e-3), np.zeros(1))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            cfo_grid_span_hz(0.0)
+            detector._cfo_spacing_hz(0.0)
         with pytest.raises(ValueError):
             cfo_grid(-1.0, 1e-3)
 

@@ -1,12 +1,13 @@
 """Monte Carlo harness contracts on a tiny desk-like scenario: curve bytes
 that do not depend on worker count or resuming, refusal of foreign point
-state, theory inside the Wilson interval, the scenario text format, the
-values a scenario computes (CFO grid, threshold), the noise window count,
-the single-radio receiver as the one-radio case of the radio loop, the
-windows a signal trial reads (those within p + L of the packet start, in
-both whitening modes; a calibrated trial pushes only the input they depend
-on), the CFO search, the stream lead against the tracked warm-up, and the presets'
-placed SNR sweeps and fingerprints."""
+state, theory inside the Wilson interval, the scenario text format and
+its refusal of keys it does not define (old `interference.*` lines among
+them), the values a scenario computes (CFO grid, threshold), the noise
+window count, the single-radio receiver as the one-radio case of the
+radio loop, the windows a signal trial reads (those within p + L of the
+packet start, in both whitening modes; a calibrated trial pushes only
+the input they depend on), the CFO search, the stream lead against the
+tracked warm-up, and the presets' placed SNR sweeps and fingerprints."""
 
 import dataclasses
 import functools
@@ -19,12 +20,7 @@ import pytest
 from scipy.stats import binomtest
 
 from fbmcss import detector, harness
-from fbmcss.channel import (
-    DelaySpreadProfile,
-    InterferenceConfig,
-    apply_cfo,
-    assemble_stream,
-)
+from fbmcss.channel import DelaySpreadProfile, apply_cfo, assemble_stream
 from fbmcss.channelizer import CascadeDetector, input_span, tracked_first_anchor
 from fbmcss.detector import DetectionConfig, cfo_grid, threshold
 from fbmcss.numerics import ComplexSignal
@@ -47,7 +43,6 @@ def tiny(**changes) -> harness.Scenario:
             symbol_seed=7,
         ),
         channel_profile=None,
-        interference=None,
         snr_sweep_db=(-14.0, -10.0),
         detector=DetectionConfig(p=2, p_fa=1e-2),
         trials_per_point=6,
@@ -64,12 +59,6 @@ def every_section() -> harness.Scenario:
             los=True,
             target_95pct_duration_ns=20.0,
             decay_constant_ns=7.5,
-        ),
-        interference=InterferenceConfig(
-            count=2,
-            bandwidth_hz=5e6,
-            psd_above_noise_db_range=(3.0, 9.5),
-            band_edges_hz=(-2e8, 2e8),
         ),
         detector=DetectionConfig(p=2, p_fa=1e-3, radios=2),
         cfo_range_hz=8e6,
@@ -198,11 +187,9 @@ class TestScenarioText:
         keys = [line.partition(" = ")[0] for line in text.splitlines()]
         assert keys[:3] == ["name", "waveform.num_subbands", "waveform.preamble_length"]
         assert "channel_profile.los = true" in text
-        assert "interference.psd_above_noise_db_range = 3.0, 9.5" in text
         assert "cfo_range_hz = 8000000.0" in text
         # a section that is None writes no lines
         assert "channel_profile." not in harness.scenario_to_text(tiny())
-        assert "interference." not in harness.scenario_to_text(tiny())
 
     @pytest.mark.parametrize(
         "line",
@@ -215,6 +202,8 @@ class TestScenarioText:
             "start_jitter_span = 1",
             "channel_profile.environment = custom",
             "meta.note = x",
+            "interference.count = 1",
+            "interference.band_edges_hz = -200000000.0, 200000000.0",
         ],
     )
     def test_old_keys_refused(self, line):
@@ -242,12 +231,6 @@ class TestScenarioText:
             ("channel_profile.target_95pct_duration_ns", "inf"),
             ("channel_profile.decay_constant_ns", "inf"),
             ("channel_profile.tap_spacing_ns", "inf"),
-            ("interference.psd_above_noise_db_range", "3.0, nan"),
-            ("interference.psd_above_noise_db_range", "-inf, 9.5"),
-            ("interference.band_edges_hz", "nan, 2e8"),
-            ("interference.band_edges_hz", "-2e8, inf"),
-            ("interference.bandwidth_hz", "inf"),
-            ("interference.bandwidth_hz", "nan"),
             ("waveform.symbol_duration_s", "inf"),
         ],
     )
@@ -279,8 +262,8 @@ class TestComputedValues:
         sc = tiny(cfo_range_hz=df)
         expected = cfo_grid(df, sc.waveform.preamble_duration_s)
         assert expected.size > 1
-        np.testing.assert_array_equal(sc.cfo_grid_hz, expected)
-        np.testing.assert_array_equal(tiny().cfo_grid_hz, np.zeros(1))
+        np.testing.assert_array_equal(harness._bundle(sc).grid_hz, expected)
+        np.testing.assert_array_equal(harness._bundle(tiny()).grid_hz, np.zeros(1))
 
     def test_threshold_counts_cfo_candidates(self):
         sc = tiny(cfo_range_hz=8e6)
@@ -293,15 +276,6 @@ class TestComputedValues:
         for value in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="cfo_range_hz"):
                 tiny(cfo_range_hz=value)
-
-    def test_interference_edges_past_sample_rate_refused(self):
-        # tiny samples at 500 MHz; refused before run_curve writes anything
-        wide = InterferenceConfig(1, 5e6, (3.0, 9.5), (-2.6e8, 2.6e8))
-        with pytest.raises(ValueError, match="band edges exceed the sample rate"):
-            tiny(interference=wide)
-        tiny(interference=dataclasses.replace(wide, band_edges_hz=(-2.4e8, 2.4e8)))
-        # with no interferers the edges are never read, so they pass
-        tiny(interference=dataclasses.replace(wide, count=0))
 
     def test_radio_count_must_divide_subbands(self):
         with pytest.raises(ValueError, match="radio count must divide"):
@@ -352,24 +326,26 @@ class TestSlicedSignalTrial:
     push is the oracle."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, boost_db",
         [
-            tiny,
-            lambda: tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=2)),
-            lambda: tiny(detector=DetectionConfig(p=4, p_fa=1e-2, radios=4)),
-            lambda: tiny(cfo_range_hz=8e6),
-            lambda: tiny(channel_profile=every_section().channel_profile),
-            lambda: tiny(interference=every_section().interference),
-            lambda: dataclasses.replace(every_section(), known_noise=True),
+            (tiny, 0.0),
+            (lambda: tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=2)), 0.0),
+            (lambda: tiny(detector=DetectionConfig(p=4, p_fa=1e-2, radios=4)), 0.0),
+            (lambda: tiny(cfo_range_hz=8e6), 0.0),
+            (lambda: tiny(channel_profile=every_section().channel_profile), 0.0),
+            # every loss at once (P_FA = 1e-3, the CFO candidates, LOS
+            # multipath past p taps, the band split): measured 1 hit in
+            # 40 trials at theory's P_D = 0.5 point and 16 at 6 dB above
+            (lambda: dataclasses.replace(every_section(), known_noise=True), 6.0),
         ],
-        ids=["srb", "mrb2", "mrb4", "cfo", "multipath", "interference", "all"],
+        ids=["srb", "mrb2", "mrb4", "cfo", "multipath", "all"],
     )
-    def test_read_windows_equal_full_push_bitwise(self, make, monkeypatch):
+    def test_read_windows_equal_full_push_bitwise(self, make, boost_db, monkeypatch):
         sc = make()
         bundle = harness._bundle(sc)
         radios = sc.detector.radios
         # theory P_D = 0.5 without CFO search, so trials both hit and miss
-        eta = detector.eta_for_pd(1e-2, 2, 0.5, 8, L)
+        eta = detector.eta_for_pd(1e-2, 2, 0.5, 8, L) + boost_db
         outcomes = set()
         for trial in range(8):
             hit, calls, pushed = spied(monkeypatch, harness._signal_trial, sc, eta, trial)

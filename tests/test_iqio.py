@@ -94,8 +94,12 @@ class TestSidecar:
             "samplerate = 5e8\n",
             "sample_rate_hz = 5e8\nsample_rate_hz = 5e8\n",
             "sample_rate_hz = fast\n",
+            "sample_rate_hz = nan\n",
+            "sample_rate_hz = inf\n",
+            "sample_rate_hz = 0\n",
+            "sample_rate_hz = -5\n",
         ],
-        ids=["colon", "misspelt_key", "duplicate", "non_numeric"],
+        ids=["colon", "misspelt_key", "duplicate", "non_numeric", "nan", "inf", "zero", "negative"],
     )
     def test_anything_but_one_rate_line_refused(self, tmp_path, text):
         path = tmp_path / "s.iq"
