@@ -274,14 +274,11 @@ def fim_approx_report(
     fim = fim_matrix(h, c_w)
     phi = _band_psd_from_cov(np.asarray(c_w), num_subbands)
     beta = compute_beta(phi, preamble_length, num_subbands)
-    diag = np.real(np.diag(fim))
-    max_diag_dev = float(np.max(np.abs(diag - beta)) / beta)
-    off = fim - np.diag(np.diag(fim))
-    max_off = float(np.max(np.abs(off)) / beta)
+    diag = np.diag(fim)
     return FimReport(
         beta=beta,
-        max_diag_deviation=max_diag_dev,
-        max_offdiag_ratio=max_off,
+        max_diag_deviation=float(np.max(np.abs(np.real(diag) - beta)) / beta),
+        max_offdiag_ratio=float(np.max(np.abs(fim - np.diag(diag))) / beta),
     )
 
 
@@ -297,47 +294,31 @@ def mrb_fim_report(
     FIM and its inverse are block diagonal.  block_inverse_max_dev is
     the worst per-entry gap between the inverse of the assembled joint
     FIM and the block diagonal of per-block inverses (a structural
-    identity, so it should sit at rounding level); diag and off-diag
-    figures measure each block against its own beta_m.
+    identity, so it should sit at rounding level); beta, diag and
+    off-diag figures are each block's fim_approx_report, against its
+    own beta_m: the mean beta and the worst deviations.
     """
     hs = list(h_blocks)
     cs = list(c_blocks)
     if len(hs) != len(cs) or not hs:
         raise ValueError("need matching nonempty block lists")
+    reports = [fim_approx_report(h, c, preamble_length, bands_per_radio) for h, c in zip(hs, cs)]
+    betas = [r.beta for r in reports]
     fims = [fim_matrix(h, c) for h, c in zip(hs, cs)]
-    betas = [
-        compute_beta(
-            _band_psd_from_cov(np.asarray(c), bands_per_radio),
-            preamble_length,
-            bands_per_radio,
-        )
-        for c in cs
-    ]
     sizes = [f.shape[0] for f in fims]
-    p = sum(sizes)
-    joint = np.zeros((p, p), dtype=np.complex128)
-    per_block_inv = np.zeros((p, p), dtype=np.complex128)
-    start = 0
-    for f, q in zip(fims, sizes):
-        sl = slice(start, start + q)
+    joint = np.zeros((sum(sizes),) * 2, dtype=np.complex128)
+    per_block_inv = np.zeros_like(joint)
+    for f, end in zip(fims, np.cumsum(sizes)):
+        sl = slice(end - f.shape[0], end)
         joint[sl, sl] = f
         per_block_inv[sl, sl] = np.linalg.inv(f)
-        start += q
     inv = np.linalg.inv(joint)
     scale = np.repeat(1.0 / np.asarray(betas), sizes)
-    block_dev = float(np.max(np.abs(inv - per_block_inv) / scale[:, None]))
-    diag_dev = max(
-        float(np.max(np.abs(np.real(np.diag(f)) - b))) / b for f, b in zip(fims, betas)
-    )
-    max_off = max(
-        float(np.max(np.abs(f - np.diag(np.diag(f))))) / b if f.shape[0] > 1 else 0.0
-        for f, b in zip(fims, betas)
-    )
     return FimReport(
         beta=float(np.mean(betas)),
-        max_diag_deviation=diag_dev,
-        max_offdiag_ratio=max_off,
-        block_inverse_max_dev=block_dev,
+        max_diag_deviation=max(r.max_diag_deviation for r in reports),
+        max_offdiag_ratio=max(r.max_offdiag_ratio for r in reports),
+        block_inverse_max_dev=float(np.max(np.abs(inv - per_block_inv) / scale[:, None])),
     )
 
 

@@ -135,8 +135,10 @@ class Scenario:
             raise ValueError("noise_windows must be >= 1")
         if self.waveform.num_subbands % self.detector.radios != 0:
             raise ValueError("radio count must divide the subband count")
-        if not 0.0 <= self.cfo_range_hz < math.inf:
-            raise ValueError("cfo_range_hz must be >= 0 and finite")
+        # past half the sample rate an offset derotates like its alias
+        r = self.cfo_range_hz
+        if not (r == 0.0 or 0.0 < r < self.waveform.sample_rate_hz / 2):
+            raise ValueError("cfo_range_hz must be >= 0, finite and below half the sample rate")
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ class _Bundle:
     """Everything a trial reuses; built once per scenario per process."""
 
     wf: WaveformConfig
-    cfg: ChannelizerConfig
+    cfg: ChannelizerConfig  # radio 0's, the full-band cascade at one radio
     pulse: ComplexSignal
     tx: ComplexSignal
     rho: ComplexSignal
@@ -209,8 +211,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
         return cached
     wf = scenario.waveform.build()
     det = scenario.detector
-    cfg = ChannelizerConfig(wf, det.p)
-    radio_cfgs = (cfg,)
+    radio_cfgs = (ChannelizerConfig(wf, det.p),)
     if det.radios > 1:
         # radio m sees the K-band waveform of bands [mK, (m+1)K) after an
         # ideal band split; its quadrature stagger restarts at its first
@@ -242,7 +243,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
     pulse = waveform.synthesize_pulse(wf)
     built = _Bundle(
         wf=wf,
-        cfg=cfg,
+        cfg=radio_cfgs[0],
         pulse=pulse,
         tx=generate_preamble(wf, pulse),
         rho=composite_pulse(wf),
@@ -512,23 +513,6 @@ def curve_csv_path(scenario: Scenario, out_dir: str) -> str:
     return os.path.join(out_dir, f"{scenario.name}.csv")
 
 
-def _point_to_text(point: CurvePoint, fingerprint: str) -> str:
-    lines = [f"fingerprint = {fingerprint}"]
-    lines += [f"{key} = {value}" for key, value in _field_items(point)]
-    return "\n".join(lines) + "\n"
-
-
-def _point_from_text(text: str, path: str) -> tuple[CurvePoint, str]:
-    try:
-        pairs = _parse_pairs(text)
-        fingerprint = pairs.pop("fingerprint")
-        kwargs = _read_fields(CurvePoint, pairs)
-        _refuse_unknown(pairs)
-        return CurvePoint(**kwargs), fingerprint
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"corrupt point state in {path}: {exc}") from exc
-
-
 def _csv_text(points: list[CurvePoint]) -> str:
     lines = [",".join(f.name for f in dataclasses.fields(CurvePoint))]
     for pt in points:
@@ -554,12 +538,7 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
         state_path = _point_state_path(out_dir, scenario, index)
         if not os.path.exists(state_path):
             continue
-        try:
-            with open(state_path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise OSError(f"cannot read point state {state_path}: {exc}") from exc
-        point, stored = _point_from_text(text, state_path)
+        point, stored = _load(CurvePoint, state_path, "point state", "fingerprint")
         if stored != fingerprint:
             raise ValueError(
                 f"point state {state_path} belongs to a different scenario "
@@ -583,7 +562,7 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
         if point is None:
             point = run_point(scenario, eta_db, workers=workers)
             state_path = _point_state_path(out_dir, scenario, index)
-            _write_text(state_path, _point_to_text(point, fingerprint))
+            _write_text(state_path, _encode(point, ("fingerprint", fingerprint)))
         points.append(point)
     _write_text(curve_csv_path(scenario, out_dir), _csv_text(points))
     return points
@@ -593,7 +572,8 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
 # scenario files
 #
 # Scenario files and point state files hold one "key = value" line per
-# dataclass field, in field order.  A key is the field's path
+# dataclass field, in field order, after a point state's fingerprint
+# line.  _encode writes both, _decode reads both.  A key is the field's path
 # (name, waveform.rolloff, channel_profile.los) and a section that is
 # None writes no lines.  The reader takes keys, defaults, required
 # fields and value types from the same dataclass fields, so the format
@@ -656,7 +636,7 @@ def _read_fields(cls, pairs: dict[str, str], prefix: str = "") -> dict:
     for f, hint, optional in _field_types(cls):
         key = prefix + f.name
         if dataclasses.is_dataclass(hint):
-            # present only through its own keys; strays go to _refuse_unknown
+            # present only through its own keys; strays stay in pairs as unknown keys
             if optional and not any(f"{key}.{g.name}" in pairs for g in dataclasses.fields(hint)):
                 kwargs[f.name] = None
             else:
@@ -666,11 +646,6 @@ def _read_fields(cls, pairs: dict[str, str], prefix: str = "") -> dict:
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"missing key {key!r}")
     return kwargs
-
-
-def _refuse_unknown(pairs: dict[str, str]) -> None:
-    if pairs:
-        raise ValueError(f"unknown keys: {', '.join(sorted(pairs))}")
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -689,17 +664,45 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
+def _encode(obj, *head: tuple[str, str]) -> str:
+    """key = value text: the head pairs, then every field of a dataclass."""
+    return "".join(f"{key} = {value}\n" for key, value in (*head, *_field_items(obj)))
+
+
+def _decode(cls, text: str, *extra: str) -> tuple:
+    """(cls instance, then each extra key's value) from _encode's text.
+
+    A missing extra key raises KeyError, any other fault ValueError.
+    """
+    pairs = _parse_pairs(text)
+    values = [pairs.pop(key) for key in extra]
+    kwargs = _read_fields(cls, pairs)
+    if pairs:
+        raise ValueError(f"unknown keys: {', '.join(sorted(pairs))}")
+    return cls(**kwargs), *values
+
+
+def _load(cls, path: str, what: str, *extra: str) -> tuple:
+    """_decode of the file at path; every error names the file."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return _decode(cls, text, *extra)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"corrupt {what} in {path}: {exc}") from exc
+
+
 def scenario_to_text(scenario: Scenario) -> str:
     """Serialize to the key = value scenario file format."""
-    return "".join(f"{key} = {value}\n" for key, value in _field_items(scenario))
+    return _encode(scenario)
 
 
 def scenario_from_text(text: str) -> Scenario:
     """Parse the key = value scenario format; unknown keys are errors."""
-    pairs = _parse_pairs(text)
-    kwargs = _read_fields(Scenario, pairs)
-    _refuse_unknown(pairs)
-    return Scenario(**kwargs)
+    return _decode(Scenario, text)[0]
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -707,12 +710,8 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read scenario file {path}: {exc}") from exc
-    return scenario_from_text(text)
+    """Read a scenario file; every error, reading or decoding, names the file."""
+    return _load(Scenario, path, "scenario file")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """IQ sample file format.
 
 Layout: 8-byte magic "OFMTIQ1\\0", a little-endian u64 sample count, then
-interleaved little-endian float32 (real, imag) pairs.  The sample rate
-travels in a sidecar text file of the one line `sample_rate_hz = <Hz>`
-because the fixed 16-byte header has no room for it and existing
-captures should stay readable if the metadata is lost; any other
-sidecar, or a rate that is not positive and finite, is refused.
+the samples as little-endian complex64: interleaved float32 (real, imag)
+pairs.  The sample rate travels in a sidecar text file of the one line
+`sample_rate_hz = <Hz>` because the fixed 16-byte header has no room for
+it and existing captures should stay readable if the metadata is lost;
+any other sidecar, or a rate that is not positive and finite, is
+refused.  Samples that are float32 values, signed zeros included, read
+back exactly; the writer refuses samples that are not finite in float32.
 """
 
 from __future__ import annotations
@@ -23,39 +25,37 @@ __all__ = ["MAGIC", "iq_read", "iq_write", "sidecar_path"]
 
 MAGIC = b"OFMTIQ1\x00"
 _HEADER = struct.Struct("<8sQ")
+_SAMPLE = np.dtype("<c8")
 
 
 def sidecar_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + ".meta"
 
 
-def iq_write(signal, path: str | os.PathLike, sample_rate_hz: float | None = None) -> None:
-    """Write samples plus a sidecar holding the sample rate.
+def iq_write(samples, path: str | os.PathLike, sample_rate_hz: float) -> None:
+    """Write a one-dimensional sample array plus a sidecar holding its rate.
 
-    Accepts a ComplexSignal or a plain array; an explicit sample_rate_hz
-    wins over the signal's own tag, and with neither no sidecar is left
-    next to the file.  float32 quantization is part of the format, so a
-    write/read round trip is exact only for values already representable
-    in single precision.
+    The samples are rounded to complex64, so a write/read round trip is
+    exact for values already representable in single precision, signed
+    zeros included.  A rate that is not positive and finite, or a sample
+    that is NaN or infinite in float32 (1e39 overflows it), raises
+    ValueError before either file is written.
     """
-    samples = np.asarray(getattr(signal, "samples", signal), dtype=np.complex128)
+    samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 1:
-        raise ValueError("signal must be one dimensional")
-    if sample_rate_hz is None:
-        sample_rate_hz = getattr(signal, "sample_rate_hz", None)
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
+        raise ValueError("samples must be one dimensional")
+    rate = float(sample_rate_hz)
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"sample_rate_hz must be positive and finite, got {rate!r}")
+    with np.errstate(over="ignore"):
+        payload = samples.astype(_SAMPLE)
+    if not np.all(np.isfinite(payload)):
+        raise ValueError("samples must be finite in float32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, samples.size))
-        fh.write(interleaved.tobytes())
-    if sample_rate_hz is None:
-        # a sidecar from an earlier write would lend this file its rate
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(sidecar_path(path))
-    else:
-        with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(f"sample_rate_hz = {float(sample_rate_hz)!r}\n")
+        fh.write(payload.tobytes())
+    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
+        fh.write(f"sample_rate_hz = {rate!r}\n")
 
 
 def _read_sidecar_rate(path: str | os.PathLike) -> float:
@@ -80,10 +80,10 @@ def iq_read(path: str | os.PathLike) -> ComplexSignal:
         magic, count = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        payload = fh.read()
-    expected = 8 * count
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, header promised {expected}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    samples = flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)
-    return ComplexSignal(samples, _read_sidecar_rate(path))
+        # sized before anything is allocated, so a corrupt count costs nothing
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected = _SAMPLE.itemsize * count
+        if size != expected:
+            raise ValueError(f"{path}: payload holds {size} bytes, header promised {expected}")
+        samples = np.fromfile(fh, dtype=_SAMPLE, count=count)
+    return ComplexSignal(samples.astype(np.complex128), _read_sidecar_rate(path))

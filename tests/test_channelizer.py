@@ -1220,6 +1220,31 @@ class TestBoundedPush:
         for k in range(2):
             assert np.concatenate([head[k], rest[k]]).tobytes() == whole[k].tobytes()
 
+    @pytest.fixture(scope="class")
+    def narrowband(self):
+        # L = 1024, N = 977, p = 40 over about 2.5 M samples: each slice of
+        # a one-shot push spans several analysis fold blocks and comb
+        # blocks, which no config above (L <= 64) does
+        sc = preset("narrowband")
+        rng = np.random.default_rng(1)
+        x = (rng.standard_normal(2_500_000) + 1j * rng.standard_normal(2_500_000)) / np.sqrt(2)
+        return ChannelizerConfig(sc.waveform.build(), sc.detector.p), x
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_narrowband_push_equals_chunked_and_one_stage_pass(self, narrowband, tracked):
+        cfg, x = narrowband
+        phi = np.ones(cfg.num_subbands)
+        override = None if tracked else phi
+        whole = CascadeDetector(cfg, power_override=override).push(x)
+        det = CascadeDetector(cfg, power_override=override)
+        step = 37 * 1001
+        parts = [det.push(x[lo : lo + step]) for lo in range(0, x.size, step)]
+        for k in range(2):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+        assert whole[1].size > 0
+        if not tracked:
+            assert whole[1].tobytes() == direct_pass(x, cfg, phi).tobytes()
+
     def test_peak_memory_does_not_grow_with_push_length(self):
         # L = 4096, p = 104: one stage pass over 2^21 samples held four
         # (hops, L) blocks of 64 MiB each

@@ -154,6 +154,12 @@ class TestRunCurve:
         with pytest.raises(OSError, match=re.escape(missing)):
             harness.load_scenario(missing)
 
+    def test_malformed_scenario_file_error_names_it(self, tmp_path):
+        path = tmp_path / "odd.scenario.txt"
+        path.write_text(harness.scenario_to_text(tiny()) + "meta.note = x\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*unknown keys: meta.note$"):
+            harness.load_scenario(str(path))
+
     def test_theory_inside_wilson_interval(self, tmp_path):
         for point in harness.run_curve(tiny(), str(tmp_path)):
             assert point.wilson_low <= point.p_d_theory <= point.wilson_high
@@ -275,6 +281,16 @@ class TestComputedValues:
     def test_negative_cfo_range_refused(self):
         for value in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="cfo_range_hz"):
+                tiny(cfo_range_hz=value)
+
+    def test_cfo_range_from_half_the_sample_rate_refused(self):
+        # an offset past half the rate derotates like its alias; 1e12 Hz
+        # would make a grid of about 9.8e5 candidates here at bundle time,
+        # and this test builds no bundle
+        half = tiny().waveform.sample_rate_hz / 2
+        assert tiny(cfo_range_hz=np.nextafter(half, 0.0)).cfo_range_hz < half
+        for value in (half, 1e12):
+            with pytest.raises(ValueError, match="cfo_range_hz must be .*below half the sample rate"):
                 tiny(cfo_range_hz=value)
 
     def test_radio_count_must_divide_subbands(self):
