@@ -338,16 +338,14 @@ def ideal_band_split(y: np.ndarray, num_subbands: int, radios: int) -> list[np.n
         raise ValueError("window length must be a multiple of the band count")
     n = y.size // l
     k = l // radios
-    # row b holds the n bins of band slot b; dst_block permutes all k rows
+    # row b holds the n bins of block b; block r of radio m holds its
+    # band _band_of_block(k)[r], the full band's band m*k + that
     spectrum = np.fft.fft(y, norm="ortho").reshape(l, n)
-    src_block = (np.arange(l) - l // 2 - 1) % l
-    dst_block = (np.arange(k) - k // 2 - 1) % k
-    outs = []
-    for m in range(radios):
-        sub = np.empty((k, n), dtype=np.complex128)
-        sub[dst_block] = spectrum[src_block[m * k : (m + 1) * k]]
-        outs.append(np.fft.ifft(sub.ravel(), norm="ortho"))
-    return outs
+    block_of_band = np.argsort(_band_of_block(l))
+    return [
+        np.fft.ifft(spectrum[block_of_band[m * k + _band_of_block(k)]].ravel(), norm="ortho")
+        for m in range(radios)
+    ]
 
 
 # worst-case coherent-correlation straddle loss the CFO grid allows

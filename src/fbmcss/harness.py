@@ -5,9 +5,9 @@ the waveform recipe, a channel profile, an optional CFO range, the
 detector settings, and the trial budget.  run_point scores one SNR
 point (signal trials plus a separate noise-only false-alarm count, next
 to the chi-squared theory P_D from detector) and run_curve sweeps the
-scenario's SNR grid, persisting each finished point so an interrupted
-sweep resumes where it stopped and writing the curve as CSV next to a
-text copy of the scenario.
+scenario's SNR grid into one record, the curve's CSV next to a text
+copy of the scenario, rewritten after each finished point so an
+interrupted sweep resumes where it stopped.
 
 A signal trial reads only the windows within p + L of the packet
 start, and _scores alone defines them, for calibrated and tracked
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import hashlib
 import itertools
 import math
 import os
@@ -491,22 +490,22 @@ def run_point(scenario: Scenario, eta_db: float, workers: int = 0) -> CurvePoint
     )
 
 
-def _fingerprint(scenario: Scenario) -> str:
-    return hashlib.sha256(scenario_to_text(scenario).encode()).hexdigest()[:16]
-
-
 def _write_text(path: str, text: str) -> None:
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _point_state_path(out_dir: str, scenario: Scenario, index: int) -> str:
-    return os.path.join(out_dir, f"{scenario.name}.point{index:03d}.txt")
+def _read_bytes(path: str, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def curve_csv_path(scenario: Scenario, out_dir: str) -> str:
@@ -514,70 +513,77 @@ def curve_csv_path(scenario: Scenario, out_dir: str) -> str:
 
 
 def _csv_text(points: list[CurvePoint]) -> str:
-    lines = [",".join(f.name for f in dataclasses.fields(CurvePoint))]
-    for pt in points:
-        lines.append(",".join(value for _, value in _field_items(pt)))
-    return "\n".join(lines) + "\n"
+    header = ",".join(f.name for f in dataclasses.fields(CurvePoint))
+    rows = (",".join(value for _, value in _field_items(pt)) for pt in points)
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+def _finished_points(scenario: Scenario, csv_path: str, scenario_path: str) -> list[CurvePoint]:
+    """The curve's rows so far, checked against the scenario; [] without a CSV."""
+    if not os.path.exists(csv_path):
+        return []
+    if _read_bytes(scenario_path, "scenario file") != scenario_to_text(scenario).encode():
+        raise ValueError(f"scenario file {scenario_path} holds another scenario than {csv_path}")
+    try:
+        text = _read_bytes(csv_path, "curve").decode()
+        header, *rows = text.split("\n")
+        # the header's cells are the keys; strict, as zip would drop an extra cell
+        points = [
+            _decode(CurvePoint, zip(header.split(","), row.split(","), strict=True))
+            for row in rows[:-1]
+        ]
+        # the header, every cell and each line's newline as _csv_text writes them
+        if _csv_text(points) != text:
+            raise ValueError("it does not read back as written")
+    except ValueError as exc:
+        raise ValueError(f"corrupt curve {csv_path}: {exc}") from exc
+    sweep = scenario.snr_sweep_db
+    if [_eta_key(pt.eta_db) for pt in points] != [_eta_key(e) for e in sweep[: len(points)]]:
+        raise ValueError(f"curve {csv_path} is not a prefix of the sweep {sweep}")
+    return points
 
 
 def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurvePoint]:
-    """Sweep the scenario's SNR grid and write the curve as CSV.
+    """Sweep the scenario's SNR grid into <name>.csv, the curve's one record.
 
-    Each finished point is persisted to its own state file before the
-    next one starts; rerunning the same scenario skips finished points
-    and rebuilds the CSV, so interrupted sweeps resume cheaply.  State
-    files carry a scenario fingerprint and are refused when they do not
-    match, rather than silently mixing experiments.  Every existing
-    state file is checked and the bundle built before anything is
-    written, so a refused resume or a scenario the cascade cannot run
-    leaves the directory as it was.
+    The CSV sits next to <name>.scenario.txt and is rewritten atomically
+    after each finished point, so an interrupted run leaves a CSV of its
+    finished points, which can be read mid-run.  A rerun reads the rows
+    back and runs the rest: resume starts from the finished prefix of
+    the sweep, which is what an interruption leaves.  A complete CSV
+    resumes as complete; per-point state files that older runs left
+    beside it are ignored.  Before writing anything the bundle is built
+    and the CSV refused, naming the file, if its scenario file is
+    missing or not byte-equal to scenario_to_text(scenario), its rows
+    are not a prefix of the sweep, or a row is corrupt.
     """
-    fingerprint = _fingerprint(scenario)
-    done: dict[int, CurvePoint] = {}
-    for index, eta_db in enumerate(scenario.snr_sweep_db):
-        state_path = _point_state_path(out_dir, scenario, index)
-        if not os.path.exists(state_path):
-            continue
-        point, stored = _load(CurvePoint, state_path, "point state", "fingerprint")
-        if stored != fingerprint:
-            raise ValueError(
-                f"point state {state_path} belongs to a different scenario "
-                f"(fingerprint {stored}, expected {fingerprint})"
-            )
-        if _eta_key(point.eta_db) != _eta_key(eta_db):
-            raise ValueError(
-                f"point state {state_path} is for eta {point.eta_db} dB, "
-                f"expected {eta_db} dB"
-            )
-        done[index] = point
+    scenario_path = os.path.join(out_dir, f"{scenario.name}.scenario.txt")
+    csv_path = curve_csv_path(scenario, out_dir)
+    points = _finished_points(scenario, csv_path, scenario_path)
     _bundle(scenario)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-    save_scenario(scenario, os.path.join(out_dir, f"{scenario.name}.scenario.txt"))
-    points: list[CurvePoint] = []
-    for index, eta_db in enumerate(scenario.snr_sweep_db):
-        point = done.get(index)
-        if point is None:
-            point = run_point(scenario, eta_db, workers=workers)
-            state_path = _point_state_path(out_dir, scenario, index)
-            _write_text(state_path, _encode(point, ("fingerprint", fingerprint)))
-        points.append(point)
-    _write_text(curve_csv_path(scenario, out_dir), _csv_text(points))
+    save_scenario(scenario, scenario_path)
+    for eta_db in scenario.snr_sweep_db[len(points):]:
+        points.append(run_point(scenario, eta_db, workers=workers))
+        _write_text(csv_path, _csv_text(points))
     return points
 
 
 # ---------------------------------------------------------------------------
-# scenario files
+# scenario files and curve rows
 #
-# Scenario files and point state files hold one "key = value" line per
-# dataclass field, in field order, after a point state's fingerprint
-# line.  _encode writes both, _decode reads both.  A key is the field's path
-# (name, waveform.rolloff, channel_profile.los) and a section that is
-# None writes no lines.  The reader takes keys, defaults, required
-# fields and value types from the same dataclass fields, so the format
-# has no other definition.
+# A scenario file holds one "key = value" line per dataclass field, in
+# field order; a curve CSV row holds a CurvePoint's field values under a
+# header of the same keys.  _field_items writes both and _decode reads
+# both, from (key, value) pairs.  A key is the field's path (name,
+# waveform.rolloff, channel_profile.los) and a section that is None
+# writes no lines.  The reader takes keys, defaults, required fields and
+# value types from the same dataclass fields, so the format has no other
+# definition.  _parse_pairs skips blank lines and lines that start with
+# "#", so a scenario file may carry comments.
 
 
 def _field_types(cls) -> list[tuple[dataclasses.Field, type, bool]]:
@@ -664,45 +670,23 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _encode(obj, *head: tuple[str, str]) -> str:
-    """key = value text: the head pairs, then every field of a dataclass."""
-    return "".join(f"{key} = {value}\n" for key, value in (*head, *_field_items(obj)))
-
-
-def _decode(cls, text: str, *extra: str) -> tuple:
-    """(cls instance, then each extra key's value) from _encode's text.
-
-    A missing extra key raises KeyError, any other fault ValueError.
-    """
-    pairs = _parse_pairs(text)
-    values = [pairs.pop(key) for key in extra]
+def _decode(cls, pairs) -> typing.Any:
+    """A cls instance from (key, value text) pairs; any fault raises ValueError."""
+    pairs = dict(pairs)
     kwargs = _read_fields(cls, pairs)
     if pairs:
         raise ValueError(f"unknown keys: {', '.join(sorted(pairs))}")
-    return cls(**kwargs), *values
-
-
-def _load(cls, path: str, what: str, *extra: str) -> tuple:
-    """_decode of the file at path; every error names the file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return _decode(cls, text, *extra)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"corrupt {what} in {path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def scenario_to_text(scenario: Scenario) -> str:
     """Serialize to the key = value scenario file format."""
-    return _encode(scenario)
+    return "".join(f"{key} = {value}\n" for key, value in _field_items(scenario))
 
 
 def scenario_from_text(text: str) -> Scenario:
     """Parse the key = value scenario format; unknown keys are errors."""
-    return _decode(Scenario, text)[0]
+    return _decode(Scenario, _parse_pairs(text))
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -711,7 +695,10 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 def load_scenario(path: str) -> Scenario:
     """Read a scenario file; every error, reading or decoding, names the file."""
-    return _load(Scenario, path, "scenario file")[0]
+    try:
+        return scenario_from_text(_read_bytes(path, "scenario file").decode())
+    except ValueError as exc:
+        raise ValueError(f"corrupt scenario file in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,22 @@ class ComplexSignal:
         return len(self.samples)
 
 
-def _gammq(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x).
+def chi2_tail(dof: int, x: float) -> float:
+    """Upper-tail probability of a central chi-squared distribution.
 
-    Series expansion of P(a,x) for x < a+1, Lentz continued fraction for
-    Q(a,x) otherwise.  Standard construction; accurate to ~1e-14 in the
-    regimes used here (a = dof/2 up to a few hundred).
+    Q(a, x/2) at a = dof/2, the regularized upper incomplete gamma: the
+    series for P = 1 - Q below x/2 = a + 1, a Lentz continued fraction
+    above; accurate to ~1e-14 for a up to a few hundred.
+
+    Args:
+        dof: degrees of freedom, integer >= 1.
+        x: evaluation point, >= 0.
     """
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("gammq requires x >= 0 and a > 0")
+    if dof < 1:
+        raise ValueError("dof must be >= 1")
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    a, x = 0.5 * dof, 0.5 * x
     if x == 0.0:
         return 1.0
     lga = math.lgamma(a)
@@ -91,26 +98,6 @@ def _gammq(a: float, x: float) -> float:
     return max(0.0, min(1.0, h * math.exp(-x + a * math.log(x) - lga)))
 
 
-def chi2_tail(dof: int, x: float) -> float:
-    """Upper-tail probability of a central chi-squared distribution.
-
-    Args:
-        dof: degrees of freedom, integer >= 1.
-        x: evaluation point, >= 0.
-    """
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return _gammq(0.5 * dof, 0.5 * x)
-
-
-def _chi2_pdf(dof: int, x: float) -> float:
-    # x > 0: chi2_tail_inv keeps x strictly inside its bracket (lo, hi), lo >= 0
-    a = 0.5 * dof
-    return 0.5 * math.exp((a - 1.0) * math.log(0.5 * x) - 0.5 * x - math.lgamma(a))
-
-
 def chi2_tail_inv(dof: int, p: float) -> float:
     """Inverse upper-tail of the central chi-squared distribution.
 
@@ -130,13 +117,15 @@ def chi2_tail_inv(dof: int, p: float) -> float:
         if hi > 1e8:
             break
     x = 0.5 * (lo + hi)
+    a, lga = 0.5 * dof, math.lgamma(0.5 * dof)
     for _ in range(200):
         q = chi2_tail(dof, x)
         if q > p:
             lo = x
         else:
             hi = x
-        pdf = _chi2_pdf(dof, x)
+        # the density; x > 0, as the bracket (lo, hi) with lo >= 0 holds it
+        pdf = 0.5 * math.exp((a - 1.0) * math.log(0.5 * x) - 0.5 * x - lga)
         if pdf > 0.0:
             step = (q - p) / pdf
             xn = x + step

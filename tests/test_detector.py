@@ -11,6 +11,7 @@ recomputes from scratch.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -43,8 +44,13 @@ from fbmcss.waveform import build_data_matrix, make_preamble_symbols
 THRESH_P4_PFA1E3 = 26.124481558376143
 
 
+@functools.cache
 def tone_block(band: int, preamble_length: int, num_subbands: int) -> int:
-    """Locate a band's DFT-bin block by placing a tone at its center."""
+    """Locate a band's DFT-bin block by placing a tone at its center.
+
+    One FFT of N*L points per call, and the FIM tests ask for the same
+    bands many times, so each answer is kept.
+    """
     nl = preamble_length * num_subbands
     nu = (2 * band - num_subbands - 1) / (2 * num_subbands)
     tone = np.exp(2j * np.pi * nu * np.arange(nl))

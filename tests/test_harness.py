@@ -1,16 +1,18 @@
 """Monte Carlo harness contracts on a tiny desk-like scenario: curve bytes
-that do not depend on worker count or resuming, refusal of foreign point
-state, theory inside the Wilson interval, the scenario text format and
-its refusal of keys it does not define (old `interference.*` lines among
-them), the values a scenario computes (CFO grid, threshold), the noise
-window count, the single-radio receiver as the one-radio case of the
-radio loop, the windows a signal trial reads (those within p + L of the
-packet start, in both whitening modes; a calibrated trial pushes only
-the input they depend on), the CFO search, the stream lead against the
-tracked warm-up, and the presets' placed SNR sweeps and fingerprints."""
+that do not depend on worker count or resuming, the CSV as the curve's
+one record and its refusal when foreign or corrupt, theory inside the
+Wilson interval, the scenario text format and its refusal of keys it
+does not define (old `interference.*` lines among them), the values a
+scenario computes (CFO grid, threshold), the noise window count, the
+single-radio receiver as the one-radio case of the radio loop, the
+windows a signal trial reads (those within p + L of the packet start,
+in both whitening modes; a calibrated trial pushes only the input they
+depend on), the CFO search, the stream lead against the tracked
+warm-up, and the presets' placed SNR sweeps and fingerprints."""
 
 import dataclasses
 import functools
+import hashlib
 import os
 import re
 import tracemalloc
@@ -72,30 +74,145 @@ def curve_bytes(scenario, out_dir, workers=0) -> bytes:
         return fh.read()
 
 
+def directory_bytes(path) -> dict[str, bytes]:
+    return {entry.name: entry.read_bytes() for entry in path.iterdir()}
+
+
+def first_rows(csv: bytes, count: int) -> bytes:
+    """The header and the first count rows, as an interruption leaves them."""
+    return b"".join(csv.splitlines(keepends=True)[: 1 + count])
+
+
+def edit_csv(edit):
+    def apply(out_dir):
+        csv = out_dir / "tiny.csv"
+        csv.write_text(edit(csv.read_text()))
+    return apply
+
+
+def swap_rows(text: str) -> str:
+    header, first, second = text.splitlines(keepends=True)
+    return header + second + first
+
+
+def extra_cell(text: str) -> str:
+    header, first, second = text.splitlines(keepends=True)
+    return header + first.replace("\n", ",0.5\n") + second
+
+
+# each refused resume of a finished tiny() directory: (change to the
+# directory, the scenario rerun, error type, message with {csv} and
+# {scenario} standing for the two files' paths)
+REFUSED_RESUMES = {
+    "other_scenario": (
+        lambda out_dir: None, tiny(root_seed=1), ValueError,
+        "scenario file {scenario} holds another scenario than {csv}",
+    ),
+    "rows_swapped": (
+        edit_csv(swap_rows), tiny(), ValueError, "curve {csv} is not a prefix of the sweep",
+    ),
+    "rows_past_sweep": (
+        edit_csv(lambda t: t + t.splitlines(keepends=True)[-1]), tiny(), ValueError,
+        "curve {csv} is not a prefix of the sweep",
+    ),
+    "corrupt_cell": (
+        edit_csv(lambda t: t.replace(",6,", ",six,")), tiny(), ValueError,
+        "corrupt curve {csv}: trials: expected int, got 'six'",
+    ),
+    "header_renamed": (
+        edit_csv(lambda t: t.replace("trials", "count", 1)), tiny(), ValueError,
+        "corrupt curve {csv}: missing key 'trials'",
+    ),
+    "header_reordered": (
+        edit_csv(lambda t: t.replace("p_d_empirical,p_d_theory", "p_d_theory,p_d_empirical", 1)),
+        tiny(), ValueError, "corrupt curve {csv}: it does not read back as written",
+    ),
+    "missing_cell": (
+        edit_csv(lambda t: t.replace(",6,", ",", 1)), tiny(), ValueError,
+        "corrupt curve {csv}: zip\\(\\) argument 2 is shorter than argument 1",
+    ),
+    "extra_cell": (
+        edit_csv(extra_cell), tiny(), ValueError,
+        "corrupt curve {csv}: zip\\(\\) argument 2 is longer than argument 1",
+    ),
+    "last_line_unfinished": (
+        edit_csv(lambda t: t[:-1]), tiny(), ValueError,
+        "corrupt curve {csv}: it does not read back as written",
+    ),
+    "scenario_file_not_text": (
+        lambda out_dir: (out_dir / "tiny.scenario.txt").write_bytes(b"\xff\xfe"), tiny(),
+        ValueError, "scenario file {scenario} holds another scenario than {csv}",
+    ),
+    "csv_not_text": (
+        lambda out_dir: (out_dir / "tiny.csv").write_bytes(b"\xff\xfe"), tiny(), ValueError,
+        "corrupt curve {csv}: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "no_scenario_file": (
+        lambda out_dir: (out_dir / "tiny.scenario.txt").unlink(), tiny(), OSError,
+        "cannot read scenario file {scenario}",
+    ),
+}
+
+
 class TestRunCurve:
     @pytest.mark.parametrize("make", [tiny, every_section], ids=["tiny", "every_section"])
     def test_csv_bytes_independent_of_workers_and_resume(self, tmp_path, make):
         sc = make()
         serial = curve_bytes(sc, tmp_path / "serial")
         assert serial.count(b"\n") == 1 + len(sc.snr_sweep_db)
+        # the CSV and its scenario file are the curve's whole record
+        assert sorted(os.listdir(tmp_path / "serial")) == ["tiny.csv", "tiny.scenario.txt"]
         assert curve_bytes(sc, tmp_path / "pooled", workers=2) == serial
-        state = tmp_path / "serial" / "tiny.point001.txt"
-        os.remove(state)
-        assert curve_bytes(sc, tmp_path / "serial") == serial
-        assert state.exists()
+        for out_dir, workers in ((tmp_path / "serial", 0), (tmp_path / "pooled", 2)):
+            (out_dir / "tiny.csv").write_bytes(first_rows(serial, 1))
+            assert curve_bytes(sc, out_dir, workers=workers) == serial
 
-    def test_foreign_state_file_refused(self, tmp_path):
-        curve_bytes(tiny(), tmp_path)
-        with pytest.raises(ValueError, match="different scenario"):
-            harness.run_curve(tiny(root_seed=1), str(tmp_path))
+    def test_interrupted_run_leaves_its_finished_points(self, tmp_path, monkeypatch):
+        sc = tiny()
+        whole = curve_bytes(sc, tmp_path / "whole")
+        run_point = harness.run_point
 
+        def stopped_at_second_point(scenario, eta_db, workers=0):
+            if eta_db == sc.snr_sweep_db[1]:
+                raise KeyboardInterrupt
+            return run_point(scenario, eta_db, workers=workers)
+
+        monkeypatch.setattr(harness, "run_point", stopped_at_second_point)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_curve(sc, str(tmp_path / "cut"))
+        assert (tmp_path / "cut" / "tiny.csv").read_bytes() == first_rows(whole, 1)
+        monkeypatch.undo()
+        assert curve_bytes(sc, tmp_path / "cut") == whole
+
+    def test_complete_curve_resumes_as_complete(self, tmp_path, monkeypatch):
+        sc = tiny()
+        points = harness.run_curve(sc, str(tmp_path))
+        # a per-point state file, as curves once kept next to the CSV
+        (tmp_path / "tiny.point000.txt").write_text("fingerprint = 0\n")
+        before = directory_bytes(tmp_path)
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("a complete curve ran a point")
+
+        monkeypatch.setattr(harness, "run_point", no_point)
+        assert harness.run_curve(sc, str(tmp_path)) == points
+        assert directory_bytes(tmp_path) == before
 
     def test_refused_resume_leaves_directory_unchanged(self, tmp_path):
-        curve_bytes(tiny(), tmp_path)
-        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        with pytest.raises(ValueError, match="different scenario"):
-            harness.run_curve(tiny(root_seed=1), str(tmp_path))
-        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        finished = tmp_path / "finished"
+        curve_bytes(tiny(), finished)
+        paths = {"csv": "tiny.csv", "scenario": "tiny.scenario.txt"}
+        for case, (change, sc, error, message) in REFUSED_RESUMES.items():
+            out_dir = tmp_path / case
+            out_dir.mkdir()
+            for name, data in directory_bytes(finished).items():
+                (out_dir / name).write_bytes(data)
+            change(out_dir)
+            before = directory_bytes(out_dir)
+            named = {key: re.escape(str(out_dir / name)) for key, name in paths.items()}
+            with pytest.raises(error, match=message.format(**named)):
+                harness.run_curve(sc, str(out_dir))
+            assert directory_bytes(out_dir) == before, case
 
     @pytest.mark.parametrize(
         "waveform_changes, p, message",
@@ -119,24 +236,6 @@ class TestRunCurve:
         with pytest.raises(ValueError, match=message):
             harness.run_curve(sc, str(out_dir))
         assert not out_dir.exists()
-
-    def test_state_file_for_another_eta_refused(self, tmp_path):
-        curve_bytes(tiny(), tmp_path)
-        # swap the two points' state files: same fingerprint, wrong slots
-        first = tmp_path / "tiny.point000.txt"
-        second = tmp_path / "tiny.point001.txt"
-        text = first.read_text()
-        first.write_text(second.read_text())
-        second.write_text(text)
-        with pytest.raises(ValueError, match="is for eta -10.0 dB, expected -14.0 dB"):
-            harness.run_curve(tiny(), str(tmp_path))
-
-    def test_corrupt_state_file_refused(self, tmp_path):
-        curve_bytes(tiny(), tmp_path)
-        state = tmp_path / "tiny.point000.txt"
-        state.write_text(state.read_text().replace("trials = 6", "trials = six"))
-        with pytest.raises(ValueError, match="corrupt point state in .*trials: expected int"):
-            harness.run_curve(tiny(), str(tmp_path))
 
     def test_false_alarm_windows_reach_the_budget_by_whole_streams(self):
         sc = tiny()
@@ -186,7 +285,7 @@ class TestScenarioText:
         sc = make()
         back = harness.scenario_from_text(harness.scenario_to_text(sc))
         assert back == sc
-        assert harness._fingerprint(back) == harness._fingerprint(sc)
+        assert harness.scenario_to_text(back) == harness.scenario_to_text(sc)
 
     def test_keys_are_field_paths(self):
         text = harness.scenario_to_text(every_section())
@@ -248,6 +347,11 @@ class TestScenarioText:
         )
         with pytest.raises(ValueError, match=f"{key.split('.')[-1]} must be .*finite"):
             harness.scenario_from_text(text)
+
+    def test_comment_and_blank_lines_skipped(self):
+        lines = harness.scenario_to_text(every_section()).splitlines(keepends=True)
+        text = "# a hand-edited scenario\n\n" + "".join(lines[:3]) + "   \n  # note\n" + "".join(lines[3:])
+        assert harness.scenario_from_text(text) == every_section()
 
     def test_duplicate_key_refused(self):
         text = harness.scenario_to_text(tiny()) + "root_seed = 5\n"
@@ -527,8 +631,9 @@ PRESET_SWEEPS = {
 }
 
 
-# each preset's scenario text hashed; point state files carry it, so a
-# moved value or renamed key makes finished points foreign
+# each preset's scenario text hashed; a curve resumes only next to a
+# byte-equal scenario file, so a moved value or renamed key makes every
+# finished curve foreign
 PRESET_FINGERPRINTS = {
     "desk": "d2c9daf55e205e35",
     "narrowband": "92704f3df98c6c5e",
@@ -548,7 +653,14 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(PRESET_FINGERPRINTS))
     def test_fingerprint(self, name):
-        assert harness._fingerprint(cached_preset(name)) == PRESET_FINGERPRINTS[name]
+        text = harness.scenario_to_text(cached_preset(name))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == PRESET_FINGERPRINTS[name]
+
+    def test_unknown_name_lists_the_presets(self):
+        available = ", ".join(harness.preset_names())
+        assert available == "desk, narrowband, wideband, wideband_short"
+        with pytest.raises(ValueError, match=re.escape(f"unknown preset 'paper'; available: {available}")):
+            harness.preset("paper")
 
     @pytest.mark.parametrize("name", sorted(PRESET_SWEEPS))
     def test_placement_probes_stay_near_the_answer(self, name, monkeypatch):
