@@ -154,6 +154,26 @@ REFUSED_RESUMES = {
 }
 
 
+def assert_resume_refused(tmp_path, *cases):
+    """Each case's change to a finished tiny() directory refuses the rerun
+    with its error and leaves the directory as it was."""
+    finished = tmp_path / "finished"
+    curve_bytes(tiny(), finished)
+    paths = {"csv": "tiny.csv", "scenario": "tiny.scenario.txt"}
+    for case in cases:
+        change, sc, error, message = REFUSED_RESUMES[case]
+        out_dir = tmp_path / case
+        out_dir.mkdir()
+        for name, data in directory_bytes(finished).items():
+            (out_dir / name).write_bytes(data)
+        change(out_dir)
+        before = directory_bytes(out_dir)
+        named = {key: re.escape(str(out_dir / name)) for key, name in paths.items()}
+        with pytest.raises(error, match=message.format(**named)):
+            harness.run_curve(sc, str(out_dir))
+        assert directory_bytes(out_dir) == before, case
+
+
 class TestRunCurve:
     @pytest.mark.parametrize("make", [tiny, every_section], ids=["tiny", "every_section"])
     def test_csv_bytes_independent_of_workers_and_resume(self, tmp_path, make):
@@ -198,21 +218,20 @@ class TestRunCurve:
         assert harness.run_curve(sc, str(tmp_path)) == points
         assert directory_bytes(tmp_path) == before
 
+    # a curve's resume state is its CSV and scenario file: a foreign
+    # scenario, rows out of sweep order and a corrupt cell each refuse
+    def test_foreign_state_file_refused(self, tmp_path):
+        assert_resume_refused(tmp_path, "other_scenario")
+
+    def test_state_file_for_another_eta_refused(self, tmp_path):
+        assert_resume_refused(tmp_path, "rows_swapped")
+
+    def test_corrupt_state_file_refused(self, tmp_path):
+        assert_resume_refused(tmp_path, "corrupt_cell")
+
     def test_refused_resume_leaves_directory_unchanged(self, tmp_path):
-        finished = tmp_path / "finished"
-        curve_bytes(tiny(), finished)
-        paths = {"csv": "tiny.csv", "scenario": "tiny.scenario.txt"}
-        for case, (change, sc, error, message) in REFUSED_RESUMES.items():
-            out_dir = tmp_path / case
-            out_dir.mkdir()
-            for name, data in directory_bytes(finished).items():
-                (out_dir / name).write_bytes(data)
-            change(out_dir)
-            before = directory_bytes(out_dir)
-            named = {key: re.escape(str(out_dir / name)) for key, name in paths.items()}
-            with pytest.raises(error, match=message.format(**named)):
-                harness.run_curve(sc, str(out_dir))
-            assert directory_bytes(out_dir) == before, case
+        named_cases = {"other_scenario", "rows_swapped", "corrupt_cell"}
+        assert_resume_refused(tmp_path, *(set(REFUSED_RESUMES) - named_cases))
 
     @pytest.mark.parametrize(
         "waveform_changes, p, message",
