@@ -39,11 +39,13 @@ push.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
 `tracked_first_anchor` is that rule.  With phi pinned every stage is
 local, and `input_span` names the input samples a run of windows reads,
-so a calibrated caller can push just those.  A hop with no power
-estimate (in warm-up, or with a silent hop or zero median power in its
-window) gets phi = +inf: its residue row is zero and it adds nothing to
-beta.  A silent hop is one whose analysis window holds a hop-aligned
-block of hop exactly-zero samples (`_silent_hops`).
+so a calibrated caller can push just those.  Tracked power that is not
+known is +inf: before the stream, and at a silent hop, one whose
+analysis window holds a hop-aligned block of hop exactly-zero samples
+(`_silent_hops`).  +inf absorbs under +, so the power sums themselves
+give phi = +inf to a hop whose window reaches either; a hop whose window
+has zero median power gets it too.  Its residue row is then zero and it
+adds nothing to beta.
 
 Time bases: analysis output i is anchored at input sample i*hop (the
 start of its filter window).  The synthesized stream is indexed by the
@@ -276,18 +278,18 @@ class PowerState:
     Row r of `block` holds the open block's row r once its hop is in,
     and until then the reverse cumulative sum of the last closed block
     (the sum of its rows r..cap-1); `fwd` is the open block's running
-    sum.  `last_silent` is the newest silent hop so far.  No field grows
-    with the stream.
+    sum.  `block` starts at +inf, the power before the stream.  No field
+    grows with the stream.
     """
 
     block: np.ndarray
     fwd: np.ndarray
     next_hop: int = 0
-    last_silent: int = -1
 
 
 def power_state(cfg: ChannelizerConfig) -> PowerState:
-    return PowerState(np.zeros((cfg.fifo_capacity, cfg.num_subbands)), np.zeros(cfg.num_subbands))
+    l = cfg.num_subbands
+    return PowerState(np.full((cfg.fifo_capacity, l), np.inf), np.zeros(l))
 
 
 def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
@@ -321,16 +323,16 @@ def track_power(
     the band's mean subband power, the reference plane of the
     chi-squared threshold calibration (the analysis filter has unit
     energy), floored at _POWER_FLOOR_RATIO times the hop's median band
-    so silent bands cannot blow up the whitening division.  Hops with
-    no estimate get +inf: those before the first full window, those
-    whose window holds a silent hop (past one, the filter transient
-    would pass for the noise level) and those whose median is zero.
+    so silent bands cannot blow up the whitening division.  A silent
+    hop's |x|^2 row is +inf, unknown power (past one, the filter
+    transient would pass for the noise level); a zero median gives +inf.
     """
     l = cfg.num_subbands
     cap = cfg.fifo_capacity
     start = state.next_hop
     hops = values.shape[0]
     power = values.real**2 + values.imag**2
+    power[silent] = np.inf
     sums = np.empty((hops, l))
     lo = 0
     while lo < hops:
@@ -352,13 +354,9 @@ def track_power(
     # np.median's arithmetic for even L, without its per-call overhead
     part = np.partition(phi, (l // 2 - 1, l // 2), axis=1)
     med = (part[:, l // 2 - 1] + part[:, l // 2]) / 2
-    h = start + np.arange(hops)
-    # newest silent hop before each hop, then before the next push
-    newest = np.maximum.accumulate(np.concatenate([[state.last_silent], np.where(silent, h, -1)]))
     state.next_hop = start + hops
-    state.last_silent = int(newest[-1])
     phi = np.maximum(phi, _POWER_FLOOR_RATIO * med[:, None])
-    phi[(h < cap) | (newest[:-1] >= h - cap) | (med == 0.0)] = np.inf
+    phi[med == 0.0] = np.inf
     return phi
 
 

@@ -77,7 +77,6 @@ __all__ = [
     "curve_csv_path",
     "scenario_to_text",
     "scenario_from_text",
-    "save_scenario",
     "load_scenario",
     "preset",
     "preset_names",
@@ -345,8 +344,7 @@ def _scores(
 # trials
 
 
-def _unit_channel() -> ChannelRealization:
-    return ChannelRealization(delays_s=np.zeros(1), gains=np.ones(1))
+_UNIT_CHANNEL = ChannelRealization(delays_s=np.zeros(1), gains=np.ones(1))
 
 
 def _calibration_taps(scenario: Scenario, channel: ChannelRealization, bundle: _Bundle):
@@ -379,7 +377,7 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         # the channel filters the short pulse; the train is then rebuilt
         rx = generate_preamble(wf, apply_channel(bundle.pulse, channel))
     else:
-        channel = _unit_channel()
+        channel = _UNIT_CHANNEL
         rx = bundle.tx
     theta = _calibration_taps(scenario, channel, bundle)
     n0 = noise_psd_from_eta(eta_db, theta, wf.num_subbands)
@@ -405,9 +403,7 @@ def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, in
     wf = bundle.wf
     l = wf.num_subbands
     rng = _trial_rng(scenario, eta_db, _TAG_NOISE, index)
-    theta = effective_taps(
-        _unit_channel(), bundle.rho, scenario.detector.p, 1.0 / wf.sample_rate_hz
-    )
+    theta = effective_taps(_UNIT_CHANNEL, bundle.rho, scenario.detector.p, 1.0 / wf.sample_rate_hz)
     n0 = noise_psd_from_eta(eta_db, theta, l)
     warmup = bundle.lead_symbols_lo * l
     windows_here = min(scenario.noise_windows, 512)
@@ -565,7 +561,7 @@ def run_curve(scenario: Scenario, out_dir: str, workers: int = 0) -> list[CurveP
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-    save_scenario(scenario, scenario_path)
+    _write_text(scenario_path, scenario_to_text(scenario))
     for eta_db in scenario.snr_sweep_db[len(points):]:
         points.append(run_point(scenario, eta_db, workers=workers))
         _write_text(csv_path, _csv_text(points))
@@ -687,10 +683,6 @@ def scenario_to_text(scenario: Scenario) -> str:
 def scenario_from_text(text: str) -> Scenario:
     """Parse the key = value scenario format; unknown keys are errors."""
     return _decode(Scenario, _parse_pairs(text))
-
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    _write_text(path, scenario_to_text(scenario))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -62,9 +62,9 @@ def _read_sidecar_rate(path: str | os.PathLike) -> float:
     meta = sidecar_path(path)
     if not os.path.exists(meta):
         return 1.0
-    with open(meta, encoding="utf-8") as fh:
+    # UnicodeDecodeError is a ValueError: a sidecar that is not UTF-8 is refused
+    with contextlib.suppress(ValueError), open(meta, encoding="utf-8") as fh:
         key, _, value = fh.read().partition("=")
-    with contextlib.suppress(ValueError):
         rate = float(value)
         if key.strip() == "sample_rate_hz" and 0.0 < rate < math.inf:
             return rate

@@ -170,7 +170,7 @@ class TestChannelizerConfig:
         assert tracked_first_anchor(c) > 0
         assert calls == built
         moved = {"tail", "next_hop", "tail_hop", "z_tail", "next_frame", "next_anchor"}
-        moved |= {"block", "fwd", "last_silent"}
+        moved |= {"block", "fwd"}
         for make in (analysis_state, power_state, synthesis_state, mf_state):
             assert {f.name for f in dataclasses.fields(make(c))} <= moved
 

@@ -128,23 +128,34 @@ class TestSidecar:
         assert iq_read(path).sample_rate_hz == rate
 
     @pytest.mark.parametrize(
-        "text",
+        "content",
         [
-            "sample_rate_hz: 5e8\n",
-            "samplerate = 5e8\n",
-            "sample_rate_hz = 5e8\nsample_rate_hz = 5e8\n",
-            "sample_rate_hz = fast\n",
-            "sample_rate_hz = nan\n",
-            "sample_rate_hz = inf\n",
-            "sample_rate_hz = 0\n",
-            "sample_rate_hz = -5\n",
+            b"sample_rate_hz: 5e8\n",
+            b"samplerate = 5e8\n",
+            b"sample_rate_hz = 5e8\nsample_rate_hz = 5e8\n",
+            b"sample_rate_hz = fast\n",
+            b"sample_rate_hz = nan\n",
+            b"sample_rate_hz = inf\n",
+            b"sample_rate_hz = 0\n",
+            b"sample_rate_hz = -5\n",
+            b"\xff\xfe\x00",
         ],
-        ids=["colon", "misspelt_key", "duplicate", "non_numeric", "nan", "inf", "zero", "negative"],
+        ids=[
+            "colon",
+            "misspelt_key",
+            "duplicate",
+            "non_numeric",
+            "nan",
+            "inf",
+            "zero",
+            "negative",
+            "not_utf8",
+        ],
     )
-    def test_anything_but_one_rate_line_refused(self, tmp_path, text):
+    def test_anything_but_one_rate_line_refused(self, tmp_path, content):
         path = tmp_path / "s.iq"
         iq_write(np.ones(2, dtype=complex), path, 1.0)
-        with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(sidecar_path(path), "wb") as fh:
+            fh.write(content)
         with pytest.raises(ValueError, match=re.escape(sidecar_path(path))):
             iq_read(path)

@@ -4,7 +4,8 @@ The load-bearing claims here are the Nyquist property of the composite
 pulse (with an explicit control showing the j^k stagger is what makes
 it hold) and the spectral flatness of the spread pulse.  Oracles are
 direct convolutions and direct summation formulas written out inline,
-and the bands x time phase table the IFFT pulse synthesis replaced.
+the bands x time phase table the IFFT pulse synthesis replaced, and the
+numpy-scalar tap loop the math-module one replaced.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from fbmcss.waveform import (
     make_preamble_symbols,
     make_spreading_code,
     pulse_origin_index,
+    _srrc_taps,
     synthesize_pulse,
 )
 
@@ -53,7 +55,44 @@ def config(prototype):
     )
 
 
+def numpy_scalar_srrc_taps(samples_per_symbol, span_symbols, rolloff):
+    """The root-raised-cosine tap loop over numpy scalars, as an oracle.
+
+    The same loop and branches as _srrc_taps, with np.sin, np.cos and
+    np.pi on numpy float64 scalars, as the design code once did.
+    """
+    l = samples_per_symbol
+    n = span_symbols * l + 1
+    t = (np.arange(n) - (n - 1) / 2.0) / l
+    a = rolloff
+    taps = np.empty(n)
+    for i, ti in enumerate(t):
+        if abs(ti) < 1e-12:
+            taps[i] = 1.0 - a + 4.0 * a / np.pi
+        elif abs(abs(ti) - 1.0 / (4.0 * a)) < 1e-12:
+            taps[i] = (a / np.sqrt(2.0)) * (
+                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * a))
+                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * a))
+            )
+        else:
+            num = np.sin(np.pi * ti * (1.0 - a)) + 4.0 * a * ti * np.cos(
+                np.pi * ti * (1.0 + a)
+            )
+            den = np.pi * ti * (1.0 - (4.0 * a * ti) ** 2)
+            taps[i] = num / den
+    return taps / np.linalg.norm(taps)
+
+
 class TestPrototypeFilter:
+    @pytest.mark.parametrize("l", [2, 4, 8, 16, 64, 512, 1024, 4096])
+    def test_srrc_taps_match_numpy_scalar_loop_bitwise(self, l):
+        # rolloffs 0.1 and 0.35 are where a vectorised sin/cos goes 1 ulp
+        # off; 1.0 puts taps on the t = 1/(4a) branch
+        for span in (4, 8, 12):
+            for rolloff in (0.1, 0.25, 0.35, 0.5, 1.0):
+                want = numpy_scalar_srrc_taps(l, span, rolloff).tobytes()
+                assert _srrc_taps(l, span, rolloff).tobytes() == want
+
     def test_construction_contract(self, prototype):
         assert prototype.taps.size == SPAN * L + 1
         assert np.array_equal(prototype.taps, prototype.taps[::-1])
