@@ -4,8 +4,9 @@ A ChannelizerConfig holds the waveform the cascade detects (one
 waveform.WaveformConfig: prototype, code and preamble) and its branch
 count p.  Every size and table the stages read depends on those two
 alone, so the config builds its tables once: the phase ramp shared by
-analysis and synthesis, the polyphase interpolator `coeffs` with its
-`delay`, the synthesis `weights` and the conjugate preamble symbols as
+analysis and synthesis, the complex analysis `taps`, the polyphase
+interpolator `coeffs` with its `delay`, the synthesis `weights` and the
+conjugate preamble symbols as
 an alphabet (`symbol_values`) plus one index per symbol (`symbol_index`).
 A stage state holds only what the stream moves: tails and counters.
 Every stage takes (input, cfg, state) and advances that state:
@@ -21,7 +22,10 @@ Every stage takes (input, cfg, state) and advances that state:
   plus the prefix of the next, so its sum is the closed block's reverse
   cumulative sum plus the open block's running sum (the aligned-block
   sliding-window aggregation of Tangwongsan, Hirzel and Schneider,
-  PVLDB 2015), O(L) per hop, and phi = L * (sum / fifo_capacity);
+  PVLDB 2015), O(L) per hop; the whole blocks of a push take both
+  cumulative sums in one array call each, and phi = L * (sum /
+  fifo_capacity), floored at a fraction of the hop's median band in the
+  rows where that floor can bind;
 - `_whitened_residues` (stateless) scales each band by its conjugate
   code over phi and inverts across bands, one row per hop, both modes;
 - `_synthesize` resynthesizes y' with a polyphase interpolator, where
@@ -86,6 +90,7 @@ __all__ = [
 ]
 
 _POWER_FLOOR_RATIO = 1e-6
+_HALF_DBL_MAX = np.finfo(np.float64).max / 2
 _INTERP_ATTEN_DB = 80.0
 
 
@@ -102,6 +107,7 @@ class ChannelizerConfig:
     waveform: WaveformConfig
     branch_count: int
     phase: np.ndarray = field(init=False, repr=False)
+    taps: np.ndarray = field(init=False, repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
     delay: int = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
@@ -135,6 +141,8 @@ class ChannelizerConfig:
         recenter = np.exp(2j * np.pi * wf.normalized_frequencies() * center)
         for name, value in (
             ("phase", _phase_table(l)),
+            # complex once here, not cast in buffers on every analysis block
+            ("taps", wf.prototype.taps.astype(np.complex128)),
             ("coeffs", np.ascontiguousarray(table.reshape(lag, self.hop).T)),
             # odd interpolator length keeps the group delay whole
             ("delay", (interp.size - 1) // 2),
@@ -186,14 +194,6 @@ def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> 
     return out
 
 
-def _stable_quotient(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """a / d for complex a and real positive d, kernel-independent."""
-    out = np.empty(np.broadcast(a, d).shape, dtype=np.complex128)
-    out.real = a.real / d
-    out.imag = a.imag / d
-    return out
-
-
 def _phase_table(num_subbands: int) -> np.ndarray:
     """exp(j pi u (L+1)/L) for u = 0..2L-1; the analysis pre-twiddle.
 
@@ -236,7 +236,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
         raise ValueError("samples must be one-dimensional")
     l = cfg.num_subbands
     d = cfg.hop
-    taps = cfg.waveform.prototype.taps
+    taps = cfg.taps
     span_slots = (taps.size + l - 1) // l
     data = np.concatenate([state.tail, x]) if state.tail.size else x
     start_hop = state.next_hop
@@ -311,6 +311,25 @@ def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndar
     return seen[k : k + n_hops] > seen[:n_hops]
 
 
+def _extend_open_block(power: np.ndarray, sums: np.ndarray, r: int, state: PowerState) -> None:
+    """Window sums for hops that fill the open block from its row r on.
+
+    Hop r + i sums block[r + i] + (fwd + power[0] + ... + power[i - 1]),
+    one running sum; the rows then join the block, and a block they
+    complete closes into its suffix sums, in place.
+    """
+    cap = state.block.shape[0]
+    end = r + power.shape[0]
+    run = np.cumsum(np.concatenate([state.fwd[None], power]), axis=0)
+    np.add(state.block[r:end], run[:-1], out=sums)
+    state.block[r:end] = power
+    if end < cap:
+        state.fwd[:] = run[-1]
+    else:
+        np.cumsum(state.block[::-1], axis=0, out=state.block[::-1])
+        state.fwd[:] = 0.0
+
+
 def track_power(
     values: np.ndarray, silent: np.ndarray, cfg: ChannelizerConfig, state: PowerState
 ) -> np.ndarray:
@@ -318,45 +337,67 @@ def track_power(
 
     values is the (hops, L) block afb_process just returned and silent
     flags its silent hops.  Hop h = b*cap + r (cap = fifo_capacity) sums
-    |x|^2 over hops [h - cap, h) as block[r] + fwd: the suffix of block
-    b - 1 plus the prefix of block b.  phi = L * (sum / cap) is L times
-    the band's mean subband power, the reference plane of the
+    |x|^2 over hops [h - cap, h): the suffix of block b - 1 from row r
+    plus the rows of block b before r.  The hops that finish the open
+    block extend its running sum; the whole blocks after them are summed
+    at once as a (blocks, cap, L) array, whose cumulative sums along the
+    block give every hop's prefix and every block's suffixes, each the
+    same terms in the same order as one hop at a time (a block's running
+    sum starts at its first row, not at 0.0 plus it, which is the same
+    for any sum of squares); a partial last block becomes the open one.  phi = L * (sum / cap) is
+    L times the band's mean subband power, the reference plane of the
     chi-squared threshold calibration (the analysis filter has unit
     energy), floored at _POWER_FLOOR_RATIO times the hop's median band
     so silent bands cannot blow up the whitening division.  A silent
     hop's |x|^2 row is +inf, unknown power (past one, the filter
     transient would pass for the noise level); a zero median gives +inf.
+    The median is taken only in rows where the floor can bind: in a row
+    of positive values whose least is at least _POWER_FLOOR_RATIO times
+    its greatest, the floor, at most that fraction of the greatest, is
+    at most every value and the median is positive; the greatest is at
+    most half of DBL_MAX, so the two middle values cannot sum past it.
     """
     l = cfg.num_subbands
     cap = cfg.fifo_capacity
-    start = state.next_hop
     hops = values.shape[0]
-    power = values.real**2 + values.imag**2
+    # |x|^2 from contiguous squares: strided .real and .imag are slower
+    sq = np.square(np.ascontiguousarray(values).view(np.float64))
+    power = np.add(sq[:, ::2], sq[:, 1::2])
     power[silent] = np.inf
     sums = np.empty((hops, l))
-    lo = 0
-    while lo < hops:
-        r = (start + lo) % cap
-        hi = min(hops, lo + cap - r)
-        end = r + hi - lo
-        # run[i] is the open block's sum before hop start + lo + i
-        run = np.cumsum(np.concatenate([state.fwd[None], power[lo:hi]]), axis=0)
-        np.add(state.block[r:end], run[:-1], out=sums[lo:hi])
-        state.block[r:end] = power[lo:hi]
-        if end < cap:
-            state.fwd[:] = run[-1]
-        else:
-            # the block closes: its suffix sums serve the next block's hops
-            np.cumsum(state.block[::-1], axis=0, out=state.block[::-1])
-            state.fwd[:] = 0.0
-        lo = hi
-    phi = l * (sums / cap)
-    # np.median's arithmetic for even L, without its per-call overhead
-    part = np.partition(phi, (l // 2 - 1, l // 2), axis=1)
-    med = (part[:, l // 2 - 1] + part[:, l // 2]) / 2
-    state.next_hop = start + hops
-    phi = np.maximum(phi, _POWER_FLOOR_RATIO * med[:, None])
-    phi[med == 0.0] = np.inf
+    r = state.next_hop % cap
+    head = min(hops, -r % cap)
+    tail = (hops - head) % cap
+    if head:
+        _extend_open_block(power[:head], sums[:head], r, state)
+    whole = power[head : hops - tail].reshape(-1, cap, l)
+    if whole.size:
+        out = sums[head : hops - tail].reshape(whole.shape)
+        out[:, 0] = 0.0
+        np.cumsum(whole[:, :-1], axis=1, out=out[:, 1:])
+        suffix = np.cumsum(whole[:, ::-1], axis=1)[:, ::-1]
+        out[0] += state.block
+        out[1:] += suffix[:-1]
+        state.block[:] = suffix[-1]
+    if tail:
+        _extend_open_block(power[hops - tail :], sums[hops - tail :], 0, state)
+    state.next_hop += hops
+    # phi = L * (sum / cap), in place
+    phi = sums
+    phi /= cap
+    phi *= l
+    lo = phi.min(axis=1)
+    hi = phi.max(axis=1)
+    bind = (lo <= 0.0) | (lo < _POWER_FLOOR_RATIO * hi) | (hi > _HALF_DBL_MAX)
+    bind &= lo < np.inf  # all +inf stays all +inf
+    if np.any(bind):
+        rows = phi[bind]
+        # np.median's arithmetic for even L, without its per-call overhead
+        part = np.partition(rows, (l // 2 - 1, l // 2), axis=1)
+        med = (part[:, l // 2 - 1] + part[:, l // 2]) / 2
+        rows = np.maximum(rows, _POWER_FLOOR_RATIO * med[:, None])
+        rows[med == 0.0] = np.inf
+        phi[bind] = rows
     return phi
 
 
@@ -485,10 +526,22 @@ def _whitened_residues(values: np.ndarray, phi: np.ndarray, cfg: ChannelizerConf
     broadcasting covers both.  Returns one row per hop, the input of
     _synthesize.  With phi identically one the chain reduces to matched
     filtering by the composite pulse; a band with phi = +inf is zeroed.
+    The gains w/phi are divided part by part, and the product is
+    _stable_product's real-part arithmetic, written into one output
+    through one scratch array.
     """
-    gains = _stable_quotient(cfg.weights, phi)
-    scaled = _stable_product(values, gains)
-    return np.fft.ifft(scaled, axis=1) * cfg.num_subbands
+    gr = cfg.weights.real / phi
+    gi = cfg.weights.imag / phi
+    vr, vi = values.real, values.imag
+    scaled = np.empty(np.broadcast(values, gr).shape, dtype=np.complex128)
+    scratch = np.empty(scaled.shape)
+    np.multiply(vr, gr, out=scaled.real)
+    np.subtract(scaled.real, np.multiply(vi, gi, out=scratch), out=scaled.real)
+    np.multiply(vr, gi, out=scaled.imag)
+    np.add(scaled.imag, np.multiply(vi, gr, out=scratch), out=scaled.imag)
+    res = np.fft.ifft(scaled, axis=1)
+    res *= cfg.num_subbands
+    return res
 
 
 @dataclass

@@ -2,6 +2,7 @@
 filtering, and the end-to-end streaming detector."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,18 @@ def band_power(power):
     if med == 0.0:
         return np.full(phi.size, np.inf)
     return np.maximum(phi, _POWER_FLOOR_RATIO * med)
+
+
+def floored_at_median(phi):
+    """track_power's median floor applied to every row, kept as the oracle
+    of the rows it now leaves alone: floor at _POWER_FLOOR_RATIO times the
+    median band (np.median's arithmetic), +inf everywhere at zero median."""
+    l = phi.shape[1]
+    part = np.partition(phi, (l // 2 - 1, l // 2), axis=1)
+    med = (part[:, l // 2 - 1] + part[:, l // 2]) / 2
+    phi = np.maximum(phi, _POWER_FLOOR_RATIO * med[:, None])
+    phi[med == 0.0] = np.inf
+    return phi
 
 
 def oracle_profiles(x, cfg):
@@ -457,6 +470,80 @@ class TestBandPowerTracking:
         assert bulk.shape[0] > 10 * cap
         assert split.tobytes() == bulk.tobytes()
 
+    def test_median_floor_matches_every_row_oracle_bitwise(self, cfg):
+        # window sums written straight into a closed block: hop cap + j of
+        # a zero push sums block[j] + 0.0, so each row below is one hop's
+        # unfloored phi, built to reach each branch of the floor
+        cap = cfg.fifo_capacity
+        rng = np.random.default_rng(91)
+        big = np.finfo(np.float64).max
+        noise = rng.uniform(0.5, 2.0, (cap, L))
+        rows = {
+            "floor binds": np.where(np.arange(L) < 3, 1e-9, noise[0]),
+            "zero bands": np.where(np.arange(L) < 3, 0.0, noise[1]),
+            "min is ratio times max": np.r_[_POWER_FLOOR_RATIO * 2.0, 2.0, noise[2, 2:]],
+            "min is the floor": np.r_[_POWER_FLOOR_RATIO * 2.0, np.full(L - 1, 2.0)],
+            "min just under the floor": np.r_[
+                np.nextafter(_POWER_FLOOR_RATIO * 2.0, 0.0), np.full(L - 1, 2.0)
+            ],
+            "zero median": np.where(np.arange(L) < L // 2 + 1, 0.0, noise[3]),
+            "all zero": np.zeros(L),
+            "all +inf": np.full(L, np.inf),
+            "some +inf": np.where(np.arange(L) < 3, np.inf, noise[4]),
+            "middle sum overflows": rng.uniform(0.55, 0.9, L) * big,
+            "max is half of DBL_MAX": np.r_[big / 2, rng.uniform(0.3, 0.5, L - 1) * big],
+            "subnormal": rng.uniform(1.0, 2.0, L) * 1e-310,
+        }
+        block = noise.copy()
+        block[: len(rows)] = list(rows.values())
+        state = power_state(cfg)
+        state.block[:] = block
+        state.next_hop = cap
+        silent = np.zeros(cap, dtype=bool)
+        raw = L * (block / cap)
+        # the two middle values past DBL_MAX overflow to a +inf median
+        with np.errstate(over="ignore"):
+            phi = track_power(np.zeros((cap, L), dtype=np.complex128), silent, cfg, state)
+            oracle = floored_at_median(raw)
+        for i, name in enumerate(rows):
+            assert phi[i].tobytes() == oracle[i].tobytes(), name
+        assert phi.tobytes() == oracle.tobytes()
+        # each row reached the branch it is named for
+        assert not np.any(np.all(phi[[0, 1, 4]] == raw[[0, 1, 4]], axis=1))
+        assert np.all(phi[[2, 3, 8, 10, 11]] == raw[[2, 3, 8, 10, 11]])
+        assert np.all(phi[[5, 6, 7, 9]] == np.inf)
+
+    @given(
+        head=st.integers(1, 15),
+        blocks=st.integers(3, 5),
+        tail=st.integers(1, 15),
+        silent=st.sets(st.integers(0, 150), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_whole_blocks_equal_hop_at_a_time(self, cfg, head, blocks, tail, silent, seed):
+        # one push finishes an open block, spans whole blocks and opens a
+        # partial one; pushed one hop at a time, no block is ever whole
+        cap = cfg.fifo_capacity
+        assert cap == 16
+        lead = 2 * cap - head
+        hops = lead + head + blocks * cap + tail
+        values = white(hops * L, 1.0, seed).reshape(-1, L)
+        values[lead + cap : lead + cap + 3, 2:5] = 0.0  # bands the floor lifts
+        flags = np.zeros(hops, dtype=bool)
+        flags[[i for i in silent if i < hops]] = True
+        one = power_state(cfg)
+        ref = [track_power(values[h : h + 1], flags[h : h + 1], cfg, one) for h in range(hops)]
+        bulk = power_state(cfg)
+        rows = [
+            track_power(values[lo:hi], flags[lo:hi], cfg, bulk)
+            for lo, hi in ((0, lead), (lead, hops))
+        ]
+        assert np.concatenate(rows).tobytes() == np.concatenate(ref).tobytes()
+        for a, b in ((bulk.block, one.block), (bulk.fwd, one.fwd)):
+            assert a.tobytes() == b.tobytes()
+        assert bulk.next_hop == one.next_hop
+
     def test_state_does_not_grow(self, cfg):
         st_a = analysis_state(cfg)
         st_p = power_state(cfg)
@@ -601,6 +688,26 @@ class TestSynthesis:
                     assert block.tobytes() == residue_block(y, p).tobytes()
                     assert block.shape == (p, max(0, (y.size - p) // L + 1))
                 assert block.shape[1] > 100
+
+    @pytest.mark.parametrize("l", [16, 24])
+    def test_whitening_matches_complex_gain_form_bitwise(self, l):
+        # the form the one-output product replaced: complex gains w/phi,
+        # their _stable_product with the samples, then ifft times L;
+        # L = 24 is not a power of two
+        c = ChannelizerConfig(WaveformSpec(l, 8, symbol_duration_s=l / FS).build(), 4)
+        values = white(40 * l, 1.0, 81).reshape(-1, l)
+        values[3] = complex(-0.0, -0.0)
+        values[4, ::2] = complex(0.0, -0.0)
+        rng = np.random.default_rng(82)
+        per_hop = rng.uniform(0.5, 2.0, values.shape)
+        per_hop[5:9] = np.inf
+        per_hop[10, :3] = np.inf
+        for phi in (rng.uniform(0.5, 2.0, l), per_hop):
+            gains = np.empty(np.broadcast(c.weights, phi).shape, dtype=np.complex128)
+            gains.real = c.weights.real / phi
+            gains.imag = c.weights.imag / phi
+            ref = np.fft.ifft(_stable_product(values, gains), axis=1) * l
+            assert _whitened_residues(values, phi, c).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("r", [2])
     def test_polyphase_table_is_interpolator_in_tap_order(self, cfg, r):
@@ -1170,6 +1277,39 @@ def direct_pass(x, cfg, phi):
     return 2.0 * energies / compute_beta(phi, cfg.preamble_length, cfg.num_subbands)
 
 
+# (preset, samples, sha256 prefix of a tracked push of pinned_stream)
+TRACKED_DIGESTS = [
+    ("desk", 600_000, "c8e01cf3259f303b"),
+    ("narrowband", 2_500_000, "a0765c99c590c1d9"),
+]
+
+
+def pinned_stream(n, hop):
+    """Unit-power noise with zeros over [200000, +3*hop + 7), -0.0 over
+    [400000, +40*hop) and zeros over [500000, +hop - 1)."""
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+    x[200_000 : 200_000 + 3 * hop + 7] = 0.0
+    x[400_000 : 400_000 + 40 * hop] = -0.0
+    x[500_000 : 500_000 + hop - 1] = 0.0
+    return x
+
+
+def push_peaks(cfg, override):
+    """tracemalloc peaks of one push of 2^19 and of 2^21 samples."""
+    x = white(1 << 21, 1.0, 73)
+    peaks = []
+    for n in (1 << 19, 1 << 21):
+        det = CascadeDetector(cfg, power_override=override)
+        tracemalloc.start()
+        try:
+            det.push(x[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestBoundedPush:
     """A long push runs the stage chain in slices of _PUSH_SAMPLES."""
 
@@ -1245,18 +1385,35 @@ class TestBoundedPush:
         if not tracked:
             assert whole[1].tobytes() == direct_pass(x, cfg, phi).tobytes()
 
+    @pytest.mark.parametrize("name,n,digest", TRACKED_DIGESTS, ids=["desk", "narrowband"])
+    def test_tracked_bytes_pinned(self, request, name, n, digest):
+        # tracked anchors and statistics, one-shot and in 37,037-sample
+        # pushes, over noise with zeroed and -0.0 stretches
+        if name == "narrowband":
+            cfg = request.getfixturevalue("narrowband")[0]
+        else:
+            sc = preset(name)
+            cfg = ChannelizerConfig(sc.waveform.build(), sc.detector.p)
+        x = pinned_stream(n, cfg.hop)
+        det = CascadeDetector(cfg)
+        step = 37 * 1001
+        parts = [det.push(x[lo : lo + step]) for lo in range(0, n, step)]
+        chunked = [np.concatenate([part[k] for part in parts]) for k in range(2)]
+        for anchors, stats in (CascadeDetector(cfg).push(x), chunked):
+            assert hashlib.sha256(anchors.tobytes() + stats.tobytes()).hexdigest()[:16] == digest
+
     def test_peak_memory_does_not_grow_with_push_length(self):
         # L = 4096, p = 104: one stage pass over 2^21 samples held four
         # (hops, L) blocks of 64 MiB each
         cfg = ChannelizerConfig(preset("wideband").waveform.build(), 104)
-        x = white(1 << 21, 1.0, 73)
-        peaks = []
-        for n in (1 << 19, 1 << 21):
-            det = CascadeDetector(cfg, power_override=np.ones(cfg.num_subbands))
-            tracemalloc.start()
-            try:
-                det.push(x[:n])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = push_peaks(cfg, np.ones(cfg.num_subbands))
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("name", ["desk", "wideband"])
+    def test_tracked_peak_memory_does_not_grow_with_push_length(self, name):
+        # desk (cap = 64 hops of 32) sums 128 whole blocks per pass as one
+        # (blocks, cap, L) array; wideband (L = 4096, cap = 1250) none
+        sc = preset(name)
+        cfg = ChannelizerConfig(sc.waveform.build(), sc.detector.p)
+        peaks = push_peaks(cfg, None)
         assert peaks[1] <= 1.25 * peaks[0]
