@@ -3,11 +3,11 @@
 A ChannelizerConfig holds the waveform the cascade detects (one
 waveform.WaveformConfig: prototype, code and preamble) and its branch
 count p.  Every size and table the stages read depends on those two
-alone, so the config builds its tables once: the phase ramp shared by
-analysis and synthesis, the complex analysis `taps`, the polyphase
-interpolator `coeffs` with its `delay`, the synthesis `weights` and the
-conjugate preamble symbols as
-an alphabet (`symbol_values`) plus one index per symbol (`symbol_index`).
+alone, so the config builds its tables once: the analysis phase ramp, the
+complex analysis `taps`, the polyphase interpolator `coeffs` with its
+`delay`, the synthesis `weights` and the conjugate preamble symbols,
+odd ones negated, as an alphabet (`symbol_values`) plus one index per
+symbol (`symbol_index`).
 A stage state holds only what the stream moves: tails and counters.
 Every stage takes (input, cfg, state) and advances that state:
 
@@ -28,13 +28,14 @@ Every stage takes (input, cfg, state) and advances that state:
   rows where that floor can bind;
 - `_whitened_residues` (stateless) scales each band by its conjugate
   code over phi and inverts across bands, one row per hop, both modes;
-- `_synthesize` resynthesizes y' with a polyphase interpolator, where
-  each output sums only the lag_hops taps of its own phase, at the
-  residues l < p the comb reads: row l of its block holds y'[fL + l];
+- `_synthesize` interpolates with a polyphase filter (each output sums
+  only the lag_hops taps of its own phase) the residues l < p the comb
+  reads: row l of its block holds (-1)^f c_l y'[fL + l], c_l = phase[l],
+  a ramp that the score's |.|^2 and the comb's alphabet take out;
 - `matched_filter_bank` correlates those rows against the preamble comb,
   looking each product up in a per-branch table of the row times every
   symbol of the alphabet (distributed arithmetic; White, IEEE ASSP
-  Magazine 1989): a QPSK comb needs 4 products per sample, not N;
+  Magazine 1989): D distinct symbols need D products a sample, not N;
 - the Rao score 2*energy/beta is emitted once per L input samples.
 
 `CascadeDetector.push` runs that chain over slices of at most
@@ -101,7 +102,8 @@ class ChannelizerConfig:
     The waveform's num_subbands is L, even here: analysis outputs
     appear every hop = L/2 input samples.  branch_count is the number
     of matched-filter branches p (delay hypotheses).  The tables below
-    are built from those two, once per config.
+    are built from those two, once per config; the comb's symbols take
+    the sign per frame that _synthesize leaves out (module text).
     """
 
     waveform: WaveformConfig
@@ -131,9 +133,10 @@ class ChannelizerConfig:
         lag = (interp.size - 1) // self.hop + 1
         table = np.zeros(lag * self.hop)
         table[: interp.size] = interp
-        # the conjugate symbols' alphabet, distinct by bit pattern so that
-        # 1+0j and 1-0j stay apart; inverse raveled, its shape varies by numpy
+        # conj(s[n]) with odd n negated exactly, as an alphabet distinct by bit pattern
+        # so that 1+0j and 1-0j stay apart; inverse raveled, its shape varies by numpy
         conj = np.conj(wf.preamble_symbols)
+        conj = np.where(np.arange(conj.size) % 2 == 1, -conj, conj)
         _, first, index = np.unique(
             conj.view(np.uint64).reshape(-1, 2), axis=0, return_index=True, return_inverse=True
         )
@@ -146,7 +149,7 @@ class ChannelizerConfig:
             ("coeffs", np.ascontiguousarray(table.reshape(lag, self.hop).T)),
             # odd interpolator length keeps the group delay whole
             ("delay", (interp.size - 1) // 2),
-            ("weights", _stable_product(recenter, wf.code.gains, conjugate_b=True)),
+            ("weights", _stable_product(recenter, wf.code.gains.real, -wf.code.gains.imag)),
             ("symbol_values", conj[first]),
             ("symbol_index", index.ravel()),
         ):
@@ -174,23 +177,25 @@ class ChannelizerConfig:
         return self.coeffs.shape[1]
 
 
-def _stable_product(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False) -> np.ndarray:
-    """Elementwise complex product computed through real-part arithmetic.
+def _stable_product(a: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """Elementwise a * (br + j bi) computed through real-part arithmetic.
 
     numpy picks its complex-multiply kernel per call from operand size
     and buffer alignment, and the fused-multiply-add variants round
     differently from the plain one, so `a * b` on identical values can
-    give different bits depending on how a stream was chunked.  Single
-    float64 multiplies and adds are correctly rounded everywhere, which
-    makes this form reproduce exactly.  Broadcasting follows numpy.
+    give different bits depending on how a stream was chunked (numpy
+    2.4 on an AVX-512 Xeon: 54 of 56 size/offset cases).  Single float64
+    multiplies and adds are correctly rounded everywhere, which makes
+    this form reproduce exactly.  b comes by its parts, so a conjugate
+    is -bi.  Broadcasting follows numpy.
     """
     ar, ai = a.real, a.imag
-    br, bi = b.real, b.imag
-    if conjugate_b:
-        bi = -bi
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
+    out = np.empty(np.broadcast(a, br, bi).shape, dtype=np.complex128)
+    scratch = np.empty(out.shape)
+    np.multiply(ar, br, out=out.real)
+    np.subtract(out.real, np.multiply(ai, bi, out=scratch), out=out.real)
+    np.multiply(ar, bi, out=out.imag)
+    np.add(out.imag, np.multiply(ai, br, out=scratch), out=out.imag)
     return out
 
 
@@ -247,7 +252,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     # the phase table has period 2L: tiled from the call's first sample,
     # it gives every sample the entry of its absolute index
     phase = np.resize(np.roll(cfg.phase, -(start_hop * d % (2 * l))), data.size)
-    v = _stable_product(data, phase)
+    v = _stable_product(data, phase.real, phase.imag)
     out = np.empty((n_hops, l), dtype=np.complex128)
     windows = sliding_window_view(v, taps.size)[::d]
     block = min(n_hops, max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l)))
@@ -435,16 +440,17 @@ def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
 
 
 def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState) -> np.ndarray:
-    """Polyphase interpolation of y' at the residues the comb reads.
+    """Polyphase interpolation of u, y' without its ramp, at the comb's residues.
 
     z_new rows are L-point inverse DFTs of the gain-scaled band samples,
     one row per hop.  Returns a (p, frames) block: row l, column f holds
-    y'[fL + l] (matched-filter anchor time base), and a frame is emitted
-    once all p of its residues have their newest hop.  Output m has
-    q = m + delay, newest hop q // hop and phase q % hop; it sums
-    coeffs[phase, k] * z[newest - k, m mod L] for k = 0..lag_hops-1, the
-    taps of its own phase (Harris, Dick and Rice, IEEE T-MTT 2003), and
-    only kept outputs are computed (Crochiere and Rabiner, 1983).  With
+    u[fL + l] = (-1)^f c_l y'[fL + l] (matched-filter anchor time base;
+    module text), and a frame is emitted once all p of its residues have
+    their newest hop.  Output m has q = m + delay, newest hop q // hop
+    and phase q % hop; it sums coeffs[phase, k] * z[newest - k, m mod L]
+    for k = 0..lag_hops-1, the taps of its own phase (Harris, Dick and
+    Rice, IEEE T-MTT 2003), and only kept outputs are computed (Crochiere
+    and Rabiner, 1983).  With
     L = 2*hop, residue l keeps one phase and its newest hop moves two a
     frame, so each k is one strided multiply-add over the block, real and
     imaginary parts apart.  Hops before the stream are zero.  Ascending k
@@ -482,8 +488,7 @@ def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState
         acc += tap * planes[:, :, s - k : s - k + 2 * frames : 2]
     y = np.empty((p, frames), dtype=np.complex128)
     y.real, y.imag = acc
-    ramp = residues[:, None] + l * ((f_start + np.arange(frames)) % 2)  # (fL + l) mod 2L
-    return _stable_product(y, cfg.phase[ramp], conjugate_b=True)
+    return y
 
 
 def tracked_first_anchor(cfg: ChannelizerConfig) -> int:
@@ -506,8 +511,9 @@ def input_span(cfg: ChannelizerConfig, first: int, last: int) -> tuple[int, int]
     reads hops (q + delay) // hop - lag_hops + 1 .. (q + delay) // hop,
     and hop h reads input [h*hop, h*hop + taps.size).  start is rounded
     down to a multiple of 2L, the period of the analysis phase table and
-    the synthesis ramp, so a detector fed x[start:stop] gives those
-    windows, at anchor m - start, the bytes a push of all of x gives.
+    of the sign per frame it leaves, so a detector fed x[start:stop]
+    gives those windows, at anchor m - start, the bytes a push of all of
+    x gives.
     Windows before first in the slice see silence for their history.
     """
     l2 = 2 * cfg.num_subbands
@@ -524,21 +530,12 @@ def _whitened_residues(values: np.ndarray, phi: np.ndarray, cfg: ChannelizerConf
 
     phi is one profile (L,) for every hop or one row per hop (hops, L);
     broadcasting covers both.  Returns one row per hop, the input of
-    _synthesize.  With phi identically one the chain reduces to matched
-    filtering by the composite pulse; a band with phi = +inf is zeroed.
-    The gains w/phi are divided part by part, and the product is
-    _stable_product's real-part arithmetic, written into one output
-    through one scratch array.
+    _synthesize.  With phi identically one the chain is matched filtering
+    by the composite pulse, up to a unit phase per branch and a sign per
+    frame; a band with phi = +inf is zeroed.  The gains w/phi are divided
+    part by part and go to _stable_product as its b.
     """
-    gr = cfg.weights.real / phi
-    gi = cfg.weights.imag / phi
-    vr, vi = values.real, values.imag
-    scaled = np.empty(np.broadcast(values, gr).shape, dtype=np.complex128)
-    scratch = np.empty(scaled.shape)
-    np.multiply(vr, gr, out=scaled.real)
-    np.subtract(scaled.real, np.multiply(vi, gi, out=scratch), out=scaled.real)
-    np.multiply(vr, gi, out=scaled.imag)
-    np.add(scaled.imag, np.multiply(vi, gr, out=scratch), out=scaled.imag)
+    scaled = _stable_product(values, cfg.weights.real / phi, cfg.weights.imag / phi)
     res = np.fft.ifft(scaled, axis=1)
     res *= cfg.num_subbands
     return res
@@ -562,12 +559,13 @@ def matched_filter_bank(
 ) -> np.ndarray:
     """Correlate _synthesize's residue block against the preamble comb.
 
-    Branch l of window j is sum_n conj(s[n]) y'[jL + l + nL], a window
-    of residue row l: the inner product of the window anchored at jL
-    with column l of the dense observation matrix.  Returns a
+    Branch l of window j is sum_n (-1)^n conj(s[n]) u[jL + l + nL], a
+    window of residue row l; since u[fL + l] = (-1)^f c_l y'[fL + l],
+    that is (-1)^j c_l times the inner product of the y' window anchored
+    at jL with column l of the dense observation matrix.  Returns a
     (branch_count, windows) block; the anchor of the first returned
-    column is state.next_anchor*L before the call.  conj(s[n]) takes
-    only the D values of cfg.symbol_values, so each branch first builds
+    column is state.next_anchor*L before the call.  (-1)^n conj(s[n])
+    takes only the D values of cfg.symbol_values, so each branch first builds
     the (D, frames) table of its row times each value, then gathers
     every window's N terms from it, contiguously, in ascending n: the
     same products summed in the same order as multiplying the window
@@ -582,8 +580,9 @@ def matched_filter_bank(
     if n_windows:
         # flat table offset of term k of window j: symbol_index[k]*frames + k + j
         gather = cfg.symbol_index * frames + np.arange(n) + np.arange(min(step, n_windows))[:, None]
+        symbols = cfg.symbol_values[:, None]
         for branch, row in enumerate(data):
-            table = _stable_product(row[None, :], cfg.symbol_values[:, None]).ravel()
+            table = _stable_product(row[None, :], symbols.real, symbols.imag).ravel()
             for lo in range(0, n_windows, step):
                 hi = min(lo + step, n_windows)
                 out[branch, lo:hi] = table[lo:].take(gather[: hi - lo]).sum(axis=1)

@@ -100,6 +100,14 @@ def band_power(power):
     return np.maximum(phi, _POWER_FLOOR_RATIO * med)
 
 
+def written_out_product(a, br, bi):
+    """a * (br + j bi) as ar*br - ai*bi and ar*bi + ai*br, one op at a time."""
+    out = np.empty(np.broadcast(a, br, bi).shape, dtype=np.complex128)
+    out.real = a.real * br - a.imag * bi
+    out.imag = a.real * bi + a.imag * br
+    return out
+
+
 def floored_at_median(phi):
     """track_power's median floor applied to every row, kept as the oracle
     of the rows it now leaves alone: floor at _POWER_FLOOR_RATIO times the
@@ -136,6 +144,49 @@ def tracked_profiles(x, cfg, cuts=()):
         rows.append(track_power(afb_process(piece, cfg, st_a), silent, cfg, st_p))
         lo += step
     return np.concatenate(rows)
+
+
+class TestStableProduct:
+    @staticmethod
+    def operands(n, offset, seed):
+        # ragged sizes at every buffer offset, so numpy's complex multiply
+        # would take its several kernels; signed zeros and infinities too
+        rng = np.random.default_rng(seed)
+        buf = rng.standard_normal(n + 8) + 1j * rng.standard_normal(n + 8)
+        buf[1::5] = complex(-0.0, 0.0)
+        buf[2::7] = complex(0.0, -0.0)
+        buf[3::11] = complex(np.inf, -1.0)
+        buf[4::13] = complex(-0.0, -np.inf)
+        return buf[offset : offset + n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 15, 64, 1023, 4096])
+    def test_matches_written_out_form_bitwise(self, n):
+        with np.errstate(invalid="ignore"):
+            for offset in range(4):
+                a = self.operands(n, offset, 91)
+                b = self.operands(n, 3 - offset, 92)
+                want = written_out_product(a, b.real, b.imag)
+                assert _stable_product(a, b.real, b.imag).tobytes() == want.tobytes()
+                # a conjugate through -bi: ar*br + ai*bi, ai*br - ar*bi
+                conj = np.empty(n, dtype=np.complex128)
+                conj.real = a.real * b.real + a.imag * b.imag
+                conj.imag = a.imag * b.real - a.real * b.imag
+                assert _stable_product(a, b.real, -b.imag).tobytes() == conj.tobytes()
+
+    def test_broadcasts_like_the_comb_table(self):
+        # one (1, frames) row times a (D, 1) alphabet, as matched_filter_bank
+        # builds its table; and one (L,) profile against (hops, L) samples
+        row = self.operands(301, 1, 93)[None, :]
+        alphabet = self.operands(5, 0, 94)[:, None]
+        with np.errstate(invalid="ignore"):
+            table = _stable_product(row, alphabet.real, alphabet.imag)
+            want = written_out_product(row, alphabet.real, alphabet.imag)
+            assert table.shape == (5, 301)
+            assert table.tobytes() == want.tobytes()
+            hops = self.operands(7 * 16, 2, 95).reshape(7, 16)
+            gains = self.operands(16, 0, 96)
+            got = _stable_product(hops, gains.real, gains.imag)
+            assert got.tobytes() == written_out_product(hops, gains.real, gains.imag).tobytes()
 
 
 class TestChannelizerConfig:
@@ -591,7 +642,9 @@ class DirectFormSynthesis:
 
     Every call loops over all interpolator taps x r, the r = L / hop
     analysis outputs per symbol, and adds each tap's contributions in
-    ascending tap order, as the streaming code once did.
+    ascending tap order, as the streaming code once did.  It returns the
+    interpolated stream u at full rate, before the ramp that makes it y'
+    (full_rate applies that ramp).
     """
 
     def __init__(self, cfg, r):
@@ -600,7 +653,6 @@ class DirectFormSynthesis:
         self.taps = _interp_taps(cfg)
         self.delay = (self.taps.size - 1) // 2
         self.lag = (self.taps.size - 1) // cfg.hop + 1
-        self.phase = _phase_table(cfg.num_subbands)
         self.z_tail = np.zeros((self.lag - 1, cfg.num_subbands), dtype=np.complex128)
         self.tail_hop = -(self.lag - 1)
         self.next_out = 0
@@ -635,30 +687,47 @@ class DirectFormSynthesis:
                 rows = z[i0 - base_hop : i_hi - base_hop : r, m0 % l]
                 out[m0 - m_start : m0 - m_start + rows.size * l : l] += coeff * rows
         self.next_out = m_stop
-        ramp = self.phase[(m_start + np.arange(out.size)) % (2 * l)]
-        return _stable_product(out, ramp, conjugate_b=True)
+        return out
 
 
-def full_rate(values, phi, cfg):
-    """y' for one analysis block at full rate: whitening, then the oracle."""
+def synthesized(values, phi, cfg):
+    """u for one analysis block at full rate: whitening, then the oracle."""
     return DirectFormSynthesis(cfg, 2)(_whitened_residues(values, phi, cfg))
 
 
+def full_rate(values, phi, cfg):
+    """y'[m] = u[m] conj(phase[m mod 2L]), the matched-filter output."""
+    u = synthesized(values, phi, cfg)
+    ramp = _phase_table(cfg.num_subbands)[np.arange(u.size) % (2 * cfg.num_subbands)]
+    return written_out_product(u, ramp.real, -ramp.imag)
+
+
 def residue_block(y, p):
-    """The rows l < p of y' frame by frame: row l, column f is y'[fL + l].
+    """The rows l < p of y frame by frame: row l, column f is y[fL + l].
 
     Only frames whose p residues all lie in y are cut, which is the block
-    _synthesize emits and matched_filter_bank reads.
+    _synthesize emits (of u) and matched_filter_bank reads.
     """
     frames = max(0, (y.size - p) // L + 1)
     return np.stack([y[l::L][:frames] for l in range(p)])
+
+
+def twiddle(p, frames):
+    """(-1)^f c_l for l < p, f < frames, c_l = phase[l]: phase[(fL + l) mod 2L].
+
+    The factor between u, the stream _synthesize cuts its block from,
+    and y'; the comb folds the (-1)^f into its odd symbols, so branch l
+    of window j is (-1)^j c_l times the inner product with y'.
+    """
+    signs = np.where(np.arange(frames) % 2 == 1, -1.0, 1.0)
+    return _phase_table(L)[:p, None] * signs
 
 
 class TestSynthesis:
     # the cascade runs r = 2 analysis outputs per symbol
     @pytest.mark.parametrize("r", [2])
     def test_polyphase_matches_direct_form_bitwise(self, wf, cfg, r):
-        # the residue block is y' at m mod L < p bit for bit, and each call
+        # the residue block is u at m mod L < p bit for bit, and each call
         # emits exactly the frames whose p residues y' holds so far; short
         # pushes hold frames back over several calls
         assert cfg.hop * r == L
@@ -691,9 +760,8 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("l", [16, 24])
     def test_whitening_matches_complex_gain_form_bitwise(self, l):
-        # the form the one-output product replaced: complex gains w/phi,
-        # their _stable_product with the samples, then ifft times L;
-        # L = 24 is not a power of two
+        # complex gains w/phi, their written-out product with the samples,
+        # then ifft times L; L = 24 is not a power of two
         c = ChannelizerConfig(WaveformSpec(l, 8, symbol_duration_s=l / FS).build(), 4)
         values = white(40 * l, 1.0, 81).reshape(-1, l)
         values[3] = complex(-0.0, -0.0)
@@ -706,7 +774,10 @@ class TestSynthesis:
             gains = np.empty(np.broadcast(c.weights, phi).shape, dtype=np.complex128)
             gains.real = c.weights.real / phi
             gains.imag = c.weights.imag / phi
-            ref = np.fft.ifft(_stable_product(values, gains), axis=1) * l
+            scaled = np.empty(np.broadcast(values, gains).shape, dtype=np.complex128)
+            scaled.real = values.real * gains.real - values.imag * gains.imag
+            scaled.imag = values.real * gains.imag + values.imag * gains.real
+            ref = np.fft.ifft(scaled, axis=1) * l
             assert _whitened_residues(values, phi, c).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("r", [2])
@@ -801,7 +872,7 @@ class TestSynthesis:
     def test_streaming_matches_batch_bitwise(self, cfg):
         x = white(30000, 1.0, 17)
         phi = np.full(L, 1.5)
-        whole = residue_block(full_rate(afb_process(x, cfg, analysis_state(cfg)), phi, cfg), P)
+        whole = residue_block(synthesized(afb_process(x, cfg, analysis_state(cfg)), phi, cfg), P)
         st_a = analysis_state(cfg)
         st_s = synthesis_state(cfg)
         pieces = []
@@ -818,13 +889,14 @@ class TestSynthesis:
 class DirectFormComb:
     """The comb the per-symbol product table replaced, as an oracle.
 
-    Every window multiplies its own N residues by the conjugate symbols
-    and sums them, as the streaming code once did.
+    Every window multiplies its own N residues by the conjugate symbols,
+    those of odd n negated, and sums them, as the streaming code once did.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.conj = np.conj(cfg.waveform.preamble_symbols)
+        self.conj[1::2] = -self.conj[1::2]
         self.tail = np.zeros((cfg.branch_count, 0), dtype=np.complex128)
 
     def __call__(self, block):
@@ -836,7 +908,8 @@ class DirectFormComb:
         for lo in range(0, n_windows, step):
             windows = sliding_window_view(data[:, lo : lo + step + n - 1], n, axis=1)
             for branch, win in enumerate(windows):
-                out[branch, lo : lo + step] = _stable_product(win, self.conj).sum(axis=1)
+                products = written_out_product(win, self.conj.real, self.conj.imag)
+                out[branch, lo : lo + step] = products.sum(axis=1)
         self.tail = data[:, n_windows:].copy()
         return out
 
@@ -850,8 +923,9 @@ def comb_alphabets():
         "qpsk": make_preamble_symbols(n, 7),
         "bpsk": rng.choice([1.0, -1.0], n).astype(np.complex128),
         "one": np.full(n, 0.6 - 0.8j),
-        # equal by value in pairs, distinct by their signed zeros
-        "signed_zeros": np.array(zeros * (n // 4)),
+        # equal by value in pairs, distinct by their signed zeros; each at
+        # an even and an odd n, so the folded alphabet keeps all four
+        "signed_zeros": np.array([z for z in zeros for _ in range(2)] * (n // 8)),
         "distinct": np.exp(2j * np.pi * rng.random(n)),
     }
 
@@ -879,7 +953,10 @@ class TestMatchedFilterBank:
         # them in its order, for any alphabet, whole or cut into frames
         symbols = comb_alphabets()[alphabet]
         c = ChannelizerConfig(dataclasses.replace(wf, preamble_symbols=symbols), P)
-        assert c.symbol_values.size == {"one": 1, "bpsk": 2, "distinct": 64}.get(alphabet, 4)
+        # the alphabet of conj(s[n]), odd n negated, by bit pattern: -1 - 0j
+        # is not -(1 - 0j), and the QPSK points are not antipodal to the bit
+        sizes = {"one": 2, "bpsk": 4, "qpsk": 8, "signed_zeros": 4, "distinct": 64}
+        assert c.symbol_values.size == sizes[alphabet]
         # three comb blocks of windows: the silent stretches fall in the first,
         # in the second and across the edge of the second and third
         frames = symbols.size - 1 + 3 * max(1, _MF_BLOCK_ELEMENTS // symbols.size)
@@ -915,8 +992,10 @@ class TestMatchedFilterBank:
         for col in range(P):
             window = np.zeros(N * L + 4 * L, dtype=np.complex128)
             window[: N * L] = dense[:, col]
-            branches = matched_filter_bank(residue_block(window, P), cfg, mf_state(cfg))
-            assert branches[col, 0] == pytest.approx(N, abs=1e-9)
+            block = residue_block(window, P)
+            tw = twiddle(P, block.shape[1])
+            branches = matched_filter_bank(block * tw, cfg, mf_state(cfg))
+            assert branches[col, 0] == pytest.approx(N * tw[col, 0], abs=1e-9)
             others = np.delete(branches[:, 0], col)
             assert np.max(np.abs(others)) < 1e-9
 
@@ -924,9 +1003,11 @@ class TestMatchedFilterBank:
         dense = build_data_matrix(wf.preamble_symbols, L, P)
         rng = np.random.default_rng(3)
         y = rng.standard_normal((N + 6) * L) + 1j * rng.standard_normal((N + 6) * L)
-        branches = matched_filter_bank(residue_block(y, P), cfg, mf_state(cfg))
+        block = residue_block(y, P)
+        tw = twiddle(P, block.shape[1])
+        branches = matched_filter_bank(block * tw, cfg, mf_state(cfg))
         for j in range(branches.shape[1]):
-            ref = dense.conj().T @ y[j * L : j * L + N * L]
+            ref = tw[:, j] * (dense.conj().T @ y[j * L : j * L + N * L])
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(branches[:, j] - ref)) / scale < 1e-9
 
@@ -958,7 +1039,7 @@ class TestMatchedFilterBank:
         phi = np.full(L, 1.5 * N0)
         anchors, stats = CascadeDetector(cfg, power_override=phi).push(x)
         values = afb_process(x, cfg, analysis_state(cfg))
-        block = residue_block(full_rate(values, phi, cfg), P)
+        block = residue_block(synthesized(values, phi, cfg), P)
         branches = matched_filter_bank(block, cfg, mf_state(cfg))
         energies = (branches.real**2 + branches.imag**2).sum(axis=0)
         assert np.array_equal(anchors, np.arange(branches.shape[1]) * L)
@@ -1008,7 +1089,7 @@ class TestStatisticEquivalence:
     def gaps_against_reference(self, cfg, dense, phi):
         x = white(30000, N0 / L, 23)
         values = afb_process(x, cfg, analysis_state(cfg))
-        scored = residue_block(full_rate(values, phi, cfg), P)
+        scored = residue_block(synthesized(values, phi, cfg), P)
         plain = full_rate(values, np.ones(L), cfg)
         beta = compute_beta(phi, N, L)
         branches = matched_filter_bank(scored, cfg, mf_state(cfg))
@@ -1279,8 +1360,8 @@ def direct_pass(x, cfg, phi):
 
 # (preset, samples, sha256 prefix of a tracked push of pinned_stream)
 TRACKED_DIGESTS = [
-    ("desk", 600_000, "c8e01cf3259f303b"),
-    ("narrowband", 2_500_000, "a0765c99c590c1d9"),
+    ("desk", 600_000, "c51849db260a9a69"),
+    ("narrowband", 2_500_000, "e2561afdcd615e21"),
 ]
 
 
