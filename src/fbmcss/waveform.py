@@ -138,6 +138,24 @@ class WaveformConfig:
         return (2.0 * np.arange(l) - l - 1.0) / (2.0 * l)
 
 
+# OpenBLAS runs np.dot on one thread up to this many elements and splits
+# longer ones over its threads, whose partial sums then round with the
+# thread count; so do products with more rows than this
+_BLAS_PIECE = 10_000
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """np.dot(x, y) summed over pieces of _BLAS_PIECE, in order.
+
+    The same bits at any BLAS thread count, and np.dot's own bits up to
+    _BLAS_PIECE elements.
+    """
+    total = np.dot(x[:_BLAS_PIECE], y[:_BLAS_PIECE])
+    for lo in range(_BLAS_PIECE, x.size, _BLAS_PIECE):
+        total += np.dot(x[lo : lo + _BLAS_PIECE], y[lo : lo + _BLAS_PIECE])
+    return total
+
+
 def _srrc_taps(samples_per_symbol: int, span_symbols: int, rolloff: float) -> np.ndarray:
     """Square-root raised-cosine impulse response, unit energy."""
     l = samples_per_symbol
@@ -160,7 +178,7 @@ def _srrc_taps(samples_per_symbol: int, span_symbols: int, rolloff: float) -> np
             )
             den = math.pi * ti * (1.0 - (4.0 * a * ti) ** 2)
             taps[i] = num / den
-    return taps / np.linalg.norm(taps)
+    return taps / np.sqrt(_dot(taps, taps))
 
 
 _CORRECTION_BUMPS = 20
@@ -196,10 +214,13 @@ def _root_nyquist_correct(taps: np.ndarray, l: int, span: int) -> np.ndarray:
     coef = np.zeros(_CORRECTION_BUMPS)
     best, best_res = h0, np.inf
     for _ in range(40):
-        h = h0 + basis @ coef
+        # one matrix-vector product per _BLAS_PIECE rows, as _dot
+        h = h0 + np.concatenate(
+            [basis[lo : lo + _BLAS_PIECE] @ coef for lo in range(0, n, _BLAS_PIECE)]
+        )
         h = 0.5 * (h + h[::-1])
         res = np.array(
-            [np.dot(h[: n - lag], h[lag:]) for lag in lag_rows] + [np.dot(h, h) - 1.0]
+            [_dot(h[: n - lag], h[lag:]) for lag in lag_rows] + [_dot(h, h) - 1.0]
         )
         worst = np.max(np.abs(res))
         if worst < best_res:
@@ -249,7 +270,7 @@ def design_prototype_filter(
         raise ValueError("rolloff must be in (0, 1]")
     taps = _srrc_taps(samples_per_symbol, span_symbols, rolloff)
     taps = taps * np.kaiser(taps.size, 4.0)
-    taps = taps / np.linalg.norm(taps)
+    taps = taps / np.sqrt(_dot(taps, taps))
     taps = _root_nyquist_correct(taps, samples_per_symbol, span_symbols)
     return PrototypeFilter(
         taps=taps,

@@ -957,11 +957,13 @@ class TestMatchedFilterBank:
         # is not -(1 - 0j), and the QPSK points are not antipodal to the bit
         sizes = {"one": 2, "bpsk": 4, "qpsk": 8, "signed_zeros": 4, "distinct": 64}
         assert c.symbol_values.size == sizes[alphabet]
+        comb = DirectFormComb(c)
+        assert c.symbol_values[c.symbol_index].tobytes() == comb.conj.tobytes()
         # three comb blocks of windows: the silent stretches fall in the first,
         # in the second and across the edge of the second and third
         frames = symbols.size - 1 + 3 * max(1, _MF_BLOCK_ELEMENTS // symbols.size)
         block = signed_zero_block(P, frames, 41)
-        oracle = DirectFormComb(c)(block).tobytes()
+        oracle = comb(block).tobytes()
         assert matched_filter_bank(block, c, mf_state(c)).tobytes() == oracle
         state = mf_state(c)
         pieces = []

@@ -545,6 +545,18 @@ class TestSlicedSignalTrial:
         assert crossings == np.count_nonzero(stats > bundle.thr)
 
 
+    def test_mrb_noise_trial_pushes_each_radio_its_share(self, monkeypatch):
+        # the split pads the stream to a multiple of 64 symbols, but each
+        # radio pushes the ceil(n/L) * L/M samples of an L-multiple pad
+        sc = tiny(detector=DetectionConfig(p=2, p_fa=1e-2, radios=2))
+        eta = sc.snr_sweep_db[0]
+        _, calls, pushed = spied(monkeypatch, harness._noise_trial, sc, eta, 0)
+        ((stream, *_),) = calls
+        n = stream.samples.size
+        assert -(-n // L) * L < -(-n // (64 * L)) * 64 * L
+        assert pushed == [-(-n // L) * L // 2] * 2
+
+
 class TestSrbMrbPaired:
     def test_mrb_detects_like_srb_on_the_same_trials(self):
         # SRB and MRB (two radios) see the same trial streams at the SNR

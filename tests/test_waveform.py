@@ -8,9 +8,16 @@ the bands x time phase table the IFFT pulse synthesis replaced, and the
 numpy-scalar tap loop the math-module one replaced.
 """
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fbmcss
 from fbmcss.numerics import ComplexSignal
 from fbmcss.waveform import (
     PrototypeFilter,
@@ -59,7 +66,9 @@ def numpy_scalar_srrc_taps(samples_per_symbol, span_symbols, rolloff):
     """The root-raised-cosine tap loop over numpy scalars, as an oracle.
 
     The same loop and branches as _srrc_taps, with np.sin, np.cos and
-    np.pi on numpy float64 scalars, as the design code once did.
+    np.pi on numpy float64 scalars, as the design code once did.  The
+    energy is np.dot over pieces of 10,000 taps summed in order, as in
+    the design code: longer dot products round with the BLAS thread count.
     """
     l = samples_per_symbol
     n = span_symbols * l + 1
@@ -80,7 +89,10 @@ def numpy_scalar_srrc_taps(samples_per_symbol, span_symbols, rolloff):
             )
             den = np.pi * ti * (1.0 - (4.0 * a * ti) ** 2)
             taps[i] = num / den
-    return taps / np.linalg.norm(taps)
+    energy = np.dot(taps[:10_000], taps[:10_000])
+    for lo in range(10_000, n, 10_000):
+        energy += np.dot(taps[lo : lo + 10_000], taps[lo : lo + 10_000])
+    return taps / np.sqrt(energy)
 
 
 class TestPrototypeFilter:
@@ -92,6 +104,34 @@ class TestPrototypeFilter:
             for rolloff in (0.1, 0.25, 0.35, 0.5, 1.0):
                 want = numpy_scalar_srrc_taps(l, span, rolloff).tobytes()
                 assert _srrc_taps(l, span, rolloff).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "l,digest",
+        [(64, "7f6d4914e1de95a3"), (512, "359b45efffe6ed21"), (1024, "62746fe44c22ad22")],
+    )
+    def test_design_bytes_pinned(self, l, digest):
+        taps = design_prototype_filter(l).taps
+        assert hashlib.sha256(taps.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("l", [2048, 4096])
+    def test_design_independent_of_blas_threads(self, l):
+        # 16,385 and 32,769 taps: a whole-filter dot product, or at 4096
+        # the correction's matrix-vector product, splits over BLAS threads
+        code = (
+            "import hashlib; from fbmcss.waveform import design_prototype_filter; "
+            f"print(hashlib.sha256(design_prototype_filter({l}).taps.tobytes()).hexdigest())"
+        )
+        src = str(pathlib.Path(fbmcss.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[name] = threads
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1] != ""
 
     def test_construction_contract(self, prototype):
         assert prototype.taps.size == SPAN * L + 1
