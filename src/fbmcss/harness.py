@@ -305,9 +305,8 @@ def _scores(
     tracked window reads the hops before it, so a tracked stream is
     pushed whole: ceil(n/L) * L/M samples a radio for n stream samples.
     The split is one FFT of the stream zero-padded to a multiple of 64
-    symbols, whose length then has no large prime factor (the symbol
-    count of a stream often is prime; at L = 4096 such an FFT took up
-    to 9 s against 0.3-0.5 s).
+    symbols, whose length then has no large prime factor: a stream's
+    own symbol count is often prime, and its FFT many times slower.
     """
     radios = scenario.detector.radios
     l = bundle.wf.num_subbands

@@ -140,7 +140,7 @@ class WaveformConfig:
 
 # OpenBLAS runs np.dot on one thread up to this many elements and splits
 # longer ones over its threads, whose partial sums then round with the
-# thread count; so do products with more rows than this
+# thread count; a matrix-vector product with more rows splits too
 _BLAS_PIECE = 10_000
 
 

@@ -728,7 +728,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("r", [2])
     def test_polyphase_matches_direct_form_bitwise(self, wf, cfg, r):
         # the residue block is u at m mod L < p bit for bit, and each call
-        # emits exactly the frames whose p residues y' holds so far; short
+        # emits exactly the frames whose p residues u holds so far; short
         # pushes hold frames back over several calls
         assert cfg.hop * r == L
         x = white(6000, 1.0, 21)
@@ -760,8 +760,8 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("l", [16, 24])
     def test_whitening_matches_complex_gain_form_bitwise(self, l):
-        # complex gains w/phi, their written-out product with the samples,
-        # then ifft times L; L = 24 is not a power of two
+        # the samples times the gains w/phi, written out, then ifft times
+        # L; L = 24 is not a power of two
         c = ChannelizerConfig(WaveformSpec(l, 8, symbol_duration_s=l / FS).build(), 4)
         values = white(40 * l, 1.0, 81).reshape(-1, l)
         values[3] = complex(-0.0, -0.0)
@@ -771,12 +771,7 @@ class TestSynthesis:
         per_hop[5:9] = np.inf
         per_hop[10, :3] = np.inf
         for phi in (rng.uniform(0.5, 2.0, l), per_hop):
-            gains = np.empty(np.broadcast(c.weights, phi).shape, dtype=np.complex128)
-            gains.real = c.weights.real / phi
-            gains.imag = c.weights.imag / phi
-            scaled = np.empty(np.broadcast(values, gains).shape, dtype=np.complex128)
-            scaled.real = values.real * gains.real - values.imag * gains.imag
-            scaled.imag = values.real * gains.imag + values.imag * gains.real
+            scaled = written_out_product(values, c.weights.real / phi, c.weights.imag / phi)
             ref = np.fft.ifft(scaled, axis=1) * l
             assert _whitened_residues(values, phi, c).tobytes() == ref.tobytes()
 

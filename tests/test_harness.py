@@ -544,7 +544,6 @@ class TestSlicedSignalTrial:
         assert windows == stats.size > 0
         assert crossings == np.count_nonzero(stats > bundle.thr)
 
-
     def test_mrb_noise_trial_pushes_each_radio_its_share(self, monkeypatch):
         # the split pads the stream to a multiple of 64 symbols, but each
         # radio pushes the ceil(n/L) * L/M samples of an L-multiple pad
