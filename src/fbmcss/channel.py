@@ -172,6 +172,8 @@ def assemble_stream(
     """
     if lead_samples < 0 or trail_samples < 0:
         raise ValueError("lead and trail must be >= 0")
+    if not 0.0 <= noise_psd < math.inf:
+        raise ValueError(f"noise_psd must be finite and >= 0, got {noise_psd}")
     body = preamble_rx.samples
     total = lead_samples + body.size + trail_samples
     rng = np.random.default_rng(seed)

@@ -3,18 +3,21 @@
 A ChannelizerConfig holds the waveform the cascade detects (one
 waveform.WaveformConfig: prototype, code and preamble) and its branch
 count p.  Every size and table the stages read depends on those two
-alone, so the config builds its tables once: the analysis phase ramp, the
-complex analysis `taps`, the polyphase interpolator `coeffs` with its
-`delay`, the synthesis `weights` and the conjugate preamble symbols,
-odd ones negated, as an alphabet (`symbol_values`) plus one index per
-symbol (`symbol_index`).
+alone, so the config builds its tables once: the analysis phase ramp
+(`phase`, two periods by parts), the complex analysis `taps`, the
+polyphase interpolator `coeffs` with its `delay` and each residue's row
+of it (`residue_taps`), the synthesis `weights` and the conjugate
+preamble symbols, odd ones negated, as an alphabet (`symbol_values`)
+plus one index per symbol (`symbol_index`).
 A stage state holds only what the stream moves: tails and counters.
 Every stage takes (input, cfg, state) and advances that state:
 
 - `afb_process` splits the input into L overlapping subcarrier bands
   with a polyphase analysis bank built on the transmit prototype (so
   analysis doubles as per-band pulse matched filtering) and returns the
-  new (hops, bands) block;
+  new (hops, bands) block: tail and chunk go into one buffer of 2L-sample
+  rows, each row takes the ramp by one broadcast product, and the hop
+  windows are a strided view of it;
 - the band noise power phi is either pinned to one (L,) profile
   (calibrated mode) or estimated per hop by `track_power` from the
   trailing fifo_capacity hops, one (hops, L) row per hop: hops are cut
@@ -23,24 +26,30 @@ Every stage takes (input, cfg, state) and advances that state:
   cumulative sum plus the open block's running sum (the aligned-block
   sliding-window aggregation of Tangwongsan, Hirzel and Schneider,
   PVLDB 2015), O(L) per hop; the whole blocks of a push take both
-  cumulative sums in one array call each, and phi = L * (sum /
+  cumulative sums in one array call each, the open block's running sum
+  and its close go row by row, and phi = L * (sum /
   fifo_capacity), floored at a fraction of the hop's median band in the
   rows where that floor can bind;
 - `_whitened_residues` (stateless) scales each band by its conjugate
-  code over phi and inverts across bands, one row per hop, both modes;
+  code over phi and inverts across bands in place, one row per hop,
+  both modes;
 - `_synthesize` interpolates with a polyphase filter (each output sums
   only the lag_hops taps of its own phase) the residues l < p the comb
-  reads: row l of its block holds (-1)^f c_l y'[fL + l], c_l = phase[l],
-  a ramp that the score's |.|^2 and the comb's alphabet take out;
+  reads: row l of its block holds (-1)^f c_l y'[fL + l], c_l the
+  analysis phase table's entry l, a ramp that the score's |.|^2 and the
+  comb's alphabet take out; one product and one sum along the taps per
+  bounded block of frames, with no loop over taps;
 - `matched_filter_bank` correlates those rows against the preamble comb,
-  looking each product up in a per-branch table of the row times every
-  symbol of the alphabet (distributed arithmetic; White, IEEE ASSP
-  Magazine 1989): D distinct symbols need D products a sample, not N;
+  looking each product up in a table of each row times every symbol of
+  the alphabet (distributed arithmetic; White, IEEE ASSP Magazine
+  1989), built for as many branches at once as a bounded block holds:
+  D distinct symbols need D products a sample, not N;
 - the Rao score 2*energy/beta is emitted once per L input samples.
 
 `CascadeDetector.push` runs that chain over slices of at most
 `_PUSH_SAMPLES` input samples, so its memory does not grow with the
-push.  Tracked whitening needs a full
+push; one path serves every push length, and a short push pays a fixed
+cost of a few dozen numpy calls per stage.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
 `tracked_first_anchor` is that rule.  With phi pinned every stage is
 local, and `input_span` names the input samples a run of windows reads,
@@ -71,7 +80,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import compute_beta
 from .waveform import WaveformConfig, pulse_origin_index
@@ -111,6 +119,7 @@ class ChannelizerConfig:
     phase: np.ndarray = field(init=False, repr=False)
     taps: np.ndarray = field(init=False, repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
+    residue_taps: np.ndarray = field(init=False, repr=False)
     delay: int = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     symbol_values: np.ndarray = field(init=False, repr=False)
@@ -133,6 +142,9 @@ class ChannelizerConfig:
         lag = (interp.size - 1) // self.hop + 1
         table = np.zeros(lag * self.hop)
         table[: interp.size] = interp
+        coeffs = np.ascontiguousarray(table.reshape(lag, self.hop).T)
+        # odd interpolator length keeps the group delay whole
+        delay = (interp.size - 1) // 2
         # conj(s[n]) with odd n negated exactly, as an alphabet distinct by bit pattern
         # so that 1+0j and 1-0j stay apart; inverse raveled, its shape varies by numpy
         conj = np.conj(wf.preamble_symbols)
@@ -142,13 +154,19 @@ class ChannelizerConfig:
         )
         center = pulse_origin_index(wf.prototype)
         recenter = np.exp(2j * np.pi * wf.normalized_frequencies() * center)
+        phase = _phase_table(l)
+        residue_taps = coeffs[(np.arange(self.branch_count) + delay) % self.hop].T
         for name, value in (
-            ("phase", _phase_table(l)),
+            # twice over, real and imaginary parts apart: a 2L-sample row
+            # from any hop reads one contiguous slice of each
+            ("phase", np.stack([np.tile(phase.real, 2), np.tile(phase.imag, 2)])),
             # complex once here, not cast in buffers on every analysis block
             ("taps", wf.prototype.taps.astype(np.complex128)),
-            ("coeffs", np.ascontiguousarray(table.reshape(lag, self.hop).T)),
-            # odd interpolator length keeps the group delay whole
-            ("delay", (interp.size - 1) // 2),
+            ("coeffs", coeffs),
+            # residue l's taps, its phase's row of coeffs, as the (lag, 1, p,
+            # 1) factor of _synthesize's product
+            ("residue_taps", np.ascontiguousarray(residue_taps[:, None, :, None])),
+            ("delay", delay),
             ("weights", _stable_product(recenter, wf.code.gains.real, -wf.code.gains.imag)),
             ("symbol_values", conj[first]),
             ("symbol_index", index.ravel()),
@@ -221,11 +239,15 @@ def analysis_state(cfg: ChannelizerConfig) -> AnalysisState:
     return AnalysisState(tail=np.zeros(0, dtype=np.complex128))
 
 
-# complex elements in the zero-padded fold buffer (8 MiB), one per call;
-# measured on a 2-vCPU EPYC with 32 MiB of L3, four times this made a
-# 2^18-sample narrowband call 55% slower (8.6 against 5.5 ms), and a
-# quarter of it cut the desk curve's noise windows per second by a fifth
-_AFB_BLOCK_ELEMENTS = 1 << 19
+# complex elements in the zero-padded fold buffer (4 MiB), one per call;
+# measured on a 2-vCPU EPYC with 32 MiB of L3, eight times this made a
+# 2^18-sample narrowband call 55% slower (8.6 against 5.5 ms), and half
+# of it cut the desk curve's noise windows per second by a fifth.  The
+# buffer is a push's largest temporary, and glibc keeps up to twice the
+# largest one it has freed in its heap: on a 2-vCPU Xeon, twice this
+# size left the same desk stream 2 MB higher in peak RSS, at the same
+# speed within noise
+_AFB_BLOCK_ELEMENTS = 1 << 18
 
 
 def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarray:
@@ -243,18 +265,33 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
     d = cfg.hop
     taps = cfg.taps
     span_slots = (taps.size + l - 1) // l
-    data = np.concatenate([state.tail, x]) if state.tail.size else x
+    kept = state.tail.size
+    size = kept + x.size
     start_hop = state.next_hop
-    n_hops = (data.size - taps.size) // d + 1 if data.size >= taps.size else 0
+    n_hops = (size - taps.size) // d + 1 if size >= taps.size else 0
     if n_hops <= 0:
-        state.tail = data.copy()
+        state.tail = np.concatenate([state.tail, x])
         return np.zeros((0, l), dtype=np.complex128)
-    # the phase table has period 2L: tiled from the call's first sample,
-    # it gives every sample the entry of its absolute index
-    phase = np.resize(np.roll(cfg.phase, -(start_hop * d % (2 * l))), data.size)
-    v = _stable_product(data, phase.real, phase.imag)
+    # tail and chunk in one buffer of whole 2L-sample rows, the pad +0.0
+    rows = -(-size // (2 * l))
+    data = np.empty(rows * 2 * l, dtype=np.complex128)
+    data[:kept] = state.tail
+    data[kept:size] = x
+    data[size:] = 0.0
+    # the phase table has period 2L and the tail starts on a hop: row r
+    # of the buffer reads the table from the tail's offset on
+    o = start_hop * d % (2 * l)
+    ramp = cfg.phase[:, o : o + 2 * l]
+    v = _stable_product(data.reshape(rows, 2 * l), ramp[0], ramp[1])
+    # a copy: a view would pin the whole buffer, which goes before the
+    # fold buffer and the output are made
+    state.tail = data[n_hops * d : size].copy()
+    state.next_hop = start_hop + n_hops
+    del data
+    # strided views come from the ndarray constructor: as_strided does the
+    # same at several times its per-call cost
+    windows = np.ndarray((n_hops, taps.size), v.dtype, v, strides=(d * v.itemsize, v.itemsize))
     out = np.empty((n_hops, l), dtype=np.complex128)
-    windows = sliding_window_view(v, taps.size)[::d]
     block = min(n_hops, max(1, _AFB_BLOCK_ELEMENTS // (span_slots * l)))
     # every block multiplies straight into the taps.size columns of one
     # zero-padded fold buffer; its pad columns are never written, so stay +0.0
@@ -268,10 +305,7 @@ def afb_process(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndarr
         # for even h and by half the row for odd h, a swap of the halves
         odd = folded[(start_hop + lo + 1) % 2 :: 2]
         odd[:, :d], odd[:, d:] = odd[:, d:].copy(), odd[:, :d].copy()
-        out[lo:hi] = np.fft.fft(folded, axis=1)
-    # copies: a view would alias the caller's buffer or pin the whole block
-    state.tail = data[n_hops * d :].copy()
-    state.next_hop = start_hop + n_hops
+        np.fft.fft(folded, axis=1, out=out[lo:hi])
     return out
 
 
@@ -307,12 +341,17 @@ def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndar
     """
     d = cfg.hop
     span = cfg.waveform.prototype.taps.size
-    zero = np.concatenate([state.tail == 0, np.asarray(chunk) == 0])
-    n_hops = max(0, (zero.size - span) // d + 1)
-    blocks = zero[: zero.size // d * d].reshape(-1, d).all(axis=1)
+    x = np.asarray(chunk)
+    size = state.tail.size + x.size
+    n_hops = max(0, (size - span) // d + 1)
+    zero = np.empty(size, dtype=bool)
+    np.equal(state.tail, 0, out=zero[: state.tail.size])
+    np.equal(x, 0, out=zero[state.tail.size :])
+    blocks = zero[: size // d * d].reshape(-1, d).all(axis=1)
     # hop i fully contains blocks i .. i + k - 1; seen[j] counts blocks < j
     k = span // d
-    seen = np.concatenate([[0], np.cumsum(blocks)])
+    seen = np.zeros(blocks.size + 1, dtype=np.intp)
+    np.cumsum(blocks, out=seen[1:])
     return seen[k : k + n_hops] > seen[:n_hops]
 
 
@@ -321,18 +360,21 @@ def _extend_open_block(power: np.ndarray, sums: np.ndarray, r: int, state: Power
 
     Hop r + i sums block[r + i] + (fwd + power[0] + ... + power[i - 1]),
     one running sum; the rows then join the block, and a block they
-    complete closes into its suffix sums, in place.
+    complete closes into its suffix sums, in place.  Both sums go row by
+    row, the order of an axis-0 cumsum at a fraction of its cost.
     """
     cap = state.block.shape[0]
     end = r + power.shape[0]
-    run = np.cumsum(np.concatenate([state.fwd[None], power]), axis=0)
-    np.add(state.block[r:end], run[:-1], out=sums)
+    fwd = state.fwd
+    for i, row in enumerate(power):
+        np.add(state.block[r + i], fwd, out=sums[i])
+        np.add(fwd, row, out=fwd)
     state.block[r:end] = power
-    if end < cap:
-        state.fwd[:] = run[-1]
-    else:
-        np.cumsum(state.block[::-1], axis=0, out=state.block[::-1])
-        state.fwd[:] = 0.0
+    if end == cap:
+        block = state.block
+        for i in range(cap - 2, -1, -1):
+            np.add(block[i + 1], block[i], out=block[i])
+        fwd[:] = 0.0
 
 
 def track_power(
@@ -375,8 +417,8 @@ def track_power(
     tail = (hops - head) % cap
     if head:
         _extend_open_block(power[:head], sums[:head], r, state)
-    whole = power[head : hops - tail].reshape(-1, cap, l)
-    if whole.size:
+    if hops - tail > head:
+        whole = power[head : hops - tail].reshape(-1, cap, l)
         out = sums[head : hops - tail].reshape(whole.shape)
         out[:, 0] = 0.0
         np.cumsum(whole[:, :-1], axis=1, out=out[:, 1:])
@@ -391,11 +433,11 @@ def track_power(
     phi = sums
     phi /= cap
     phi *= l
-    lo = phi.min(axis=1)
-    hi = phi.max(axis=1)
+    lo = np.minimum.reduce(phi, axis=1)
+    hi = np.maximum.reduce(phi, axis=1)
     bind = (lo <= 0.0) | (lo < _POWER_FLOOR_RATIO * hi) | (hi > _HALF_DBL_MAX)
     bind &= lo < np.inf  # all +inf stays all +inf
-    if np.any(bind):
+    if bind.any():
         rows = phi[bind]
         # np.median's arithmetic for even L, without its per-call overhead
         part = np.partition(rows, (l // 2 - 1, l // 2), axis=1)
@@ -439,6 +481,13 @@ def synthesis_state(cfg: ChannelizerConfig) -> SynthesisState:
     return SynthesisState(np.zeros((lag - 1, cfg.branch_count), dtype=np.complex128), 1 - lag)
 
 
+# float64 terms per synthesis product block (1 MiB): long enough rows of
+# frames for the product's inner loop, short enough to stay in cache;
+# on a 2-vCPU Xeon, 1 << 15 made the synthesis of a 2^18-sample
+# narrowband pass take 2.6 ms against 1.8 ms
+_SYNTH_BLOCK_ELEMENTS = 1 << 17
+
+
 def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState) -> np.ndarray:
     """Polyphase interpolation of u, y' without its ramp, at the comb's residues.
 
@@ -450,17 +499,23 @@ def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState
     and phase q % hop; it sums coeffs[phase, k] * z[newest - k, m mod L]
     for k = 0..lag_hops-1, the taps of its own phase (Harris, Dick and
     Rice, IEEE T-MTT 2003), and only kept outputs are computed (Crochiere
-    and Rabiner, 1983).  With
-    L = 2*hop, residue l keeps one phase and its newest hop moves two a
-    frame, so each k is one strided multiply-add over the block, real and
-    imaginary parts apart.  Hops before the stream are zero.  Ascending k
-    is ascending tap order, so every output adds its terms in the same
-    order whatever the chunking; and a sum started at +0.0 never turns
+    and Rabiner, 1983).  With L = 2*hop, residue l keeps one phase and
+    its newest hop moves two a frame, so the terms of a bounded block of
+    frames are one product: cfg.residue_taps times a strided (lag, 2, p,
+    frames) view of z, real and imaginary parts apart, written into a
+    C-ordered buffer and summed along k by one np.add.reduce from +0.0.
+    Residues whose newest hops sit at one offset share a view; there are
+    at most three offsets.  Hops before the stream are zero.  The
+    reduction runs over the buffer's outer axis, so every output adds
+    its terms one at a time in ascending tap order, whatever the
+    chunking; a buffer numpy allocated would follow the view's negative
+    k stride and sum them in reverse.  A sum started at +0.0 never turns
     -0.0, so the +-0.0 terms of the 0.0 pad taps change no bit.
     """
     l = cfg.num_subbands
     d = cfg.hop
     p = cfg.branch_count
+    lag = cfg.lag_hops
     delay = cfg.delay
     z = np.concatenate([state.z_tail, z_new[:, :p]], axis=0)
     base_hop = state.tail_hop
@@ -468,26 +523,36 @@ def _synthesize(z_new: np.ndarray, cfg: ChannelizerConfig, state: SynthesisState
     # frame f is whole once its last residue fL + p - 1 has its newest hop
     f_stop = max(f_start, ((base_hop + z.shape[0]) * d - delay - p) // l + 1)
     # keep every hop the oldest unemitted frame reaches
-    keep = (f_stop * l + delay) // d - (cfg.lag_hops - 1)
+    keep = (f_stop * l + delay) // d - (lag - 1)
     state.z_tail = z[keep - base_hop :].copy()
     state.tail_hop = keep
     state.next_frame = f_stop
     frames = f_stop - f_start
-    if frames == 0:
-        return np.zeros((p, 0), dtype=np.complex128)
-    residues = np.arange(p)
-    skew = (residues + delay) // d - delay // d
-    # planes[:, l, j] is z[j + skew[l], l], real then imaginary: one
-    # slice per k then serves every residue
-    rows = np.arange(z.shape[0] - skew[-1]) + skew[:, None]
-    planes = np.stack([z.real[rows, residues[:, None]], z.imag[rows, residues[:, None]]])
-    taps = cfg.coeffs[(residues + delay) % d].T[:, :, None]  # (lag, p, 1)
-    s = 2 * f_start + delay // d - base_hop  # plane column of frame f_start, k = 0
-    acc = np.zeros((2, p, frames))
-    for k, tap in enumerate(taps):
-        acc += tap * planes[:, :, s - k : s - k + 2 * frames : 2]
     y = np.empty((p, frames), dtype=np.complex128)
-    y.real, y.imag = acc
+    if frames == 0:
+        return y
+    # row of z holding the newest hop of residue 0 of frame f_start
+    s = 2 * f_start + delay // d - base_hop
+    # residue l's newest hop is skew = (l + delay) // d - delay // d rows
+    # later: residues [edges[i], edges[i + 1]) have skew i
+    first = d - delay % d
+    edges = [0] + [e for e in (first, first + d) if e < p] + [p]
+    parts = z.view(np.float64)
+    row = z.strides[0]
+    step = max(1, _SYNTH_BLOCK_ELEMENTS // (2 * lag * p))
+    terms = np.empty((lag, 2, p, min(step, frames)))
+    # [c, l, f] is part c of y[l, f]
+    sums = y.view(np.float64).reshape(p, frames, 2).transpose(2, 0, 1)
+    for lo in range(0, frames, step):
+        hi = min(lo + step, frames)
+        block = terms[..., : hi - lo]
+        for skew, (a, b) in enumerate(zip(edges, edges[1:])):
+            # [k, c, l, f] = part c of z[s + skew + 2(lo + f) - k, a + l]
+            offset = (s + skew + 2 * lo) * row + a * z.itemsize
+            strides = (-row, 8, z.itemsize, 2 * row)
+            view = np.ndarray(block[:, :, a:b].shape, parts.dtype, parts, offset, strides)
+            np.multiply(cfg.residue_taps[:, :, a:b], view, out=block[:, :, a:b])
+        np.add.reduce(block, axis=0, initial=0.0, out=sums[..., lo:hi])
     return y
 
 
@@ -536,9 +601,10 @@ def _whitened_residues(values: np.ndarray, phi: np.ndarray, cfg: ChannelizerConf
     part by part and go to _stable_product as its b.
     """
     scaled = _stable_product(values, cfg.weights.real / phi, cfg.weights.imag / phi)
-    res = np.fft.ifft(scaled, axis=1)
-    res *= cfg.num_subbands
-    return res
+    # in place: a second (hops, L) block would raise the peak of a long push
+    np.fft.ifft(scaled, axis=1, out=scaled)
+    scaled *= cfg.num_subbands
+    return scaled
 
 
 @dataclass
@@ -565,27 +631,37 @@ def matched_filter_bank(
     at jL with column l of the dense observation matrix.  Returns a
     (branch_count, windows) block; the anchor of the first returned
     column is state.next_anchor*L before the call.  (-1)^n conj(s[n])
-    takes only the D values of cfg.symbol_values, so each branch first builds
-    the (D, frames) table of its row times each value, then gathers
-    every window's N terms from it, contiguously, in ascending n: the
-    same products summed in the same order as multiplying the window
-    itself, so taking windows in blocks changes no bit.
+    takes only the D values of cfg.symbol_values, so a group of branches
+    first builds the (branches, D, frames) table of each row times each
+    value, then gathers every window's N terms from it, contiguously, in
+    ascending n: the same products summed in the same order as
+    multiplying the window itself, so taking windows in blocks and
+    branches in groups changes no bit.  A group's table and its gathered
+    terms each stay within _MF_BLOCK_ELEMENTS, or hold one branch.
     """
     n = cfg.preamble_length
+    p = cfg.branch_count
     data = np.concatenate([state.tail, block], axis=1)
     frames = data.shape[1]
     n_windows = max(0, frames - n + 1)
-    out = np.empty((cfg.branch_count, n_windows), dtype=np.complex128)
-    step = max(1, _MF_BLOCK_ELEMENTS // n)
+    out = np.empty((p, n_windows), dtype=np.complex128)
     if n_windows:
-        # flat table offset of term k of window j: symbol_index[k]*frames + k + j
-        gather = cfg.symbol_index * frames + np.arange(n) + np.arange(min(step, n_windows))[:, None]
         symbols = cfg.symbol_values[:, None]
-        for branch, row in enumerate(data):
-            table = _stable_product(row[None, :], symbols.real, symbols.imag).ravel()
+        table_size = symbols.size * frames
+        step = max(1, _MF_BLOCK_ELEMENTS // n)
+        fit = min(_MF_BLOCK_ELEMENTS // (n * n_windows), _MF_BLOCK_ELEMENTS // table_size)
+        group = max(1, min(p, fit))
+        # flat table offset of term k of window j of the group's branch b:
+        # b*table_size + symbol_index[k]*frames + k + j
+        gather = cfg.symbol_index * frames + np.arange(n) + np.arange(min(step, n_windows))[:, None]
+        gather = gather + table_size * np.arange(group)[:, None, None]
+        for b in range(0, p, group):
+            rows = data[b : b + group]
+            table = _stable_product(rows[:, None, :], symbols.real, symbols.imag).ravel()
             for lo in range(0, n_windows, step):
                 hi = min(lo + step, n_windows)
-                out[branch, lo:hi] = table[lo:].take(gather[: hi - lo]).sum(axis=1)
+                terms = table[lo:].take(gather[: rows.shape[0], : hi - lo])
+                np.add.reduce(terms, axis=2, out=out[b : b + group, lo:hi])
     state.tail = data[:, n_windows:].copy()
     state.next_anchor += n_windows
     return out
@@ -644,7 +720,7 @@ class CascadeDetector:
         x = np.asarray(chunk, dtype=np.complex128)
         if x.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
         # an empty push runs the chain once, for its empty arrays
         parts = [
@@ -666,16 +742,17 @@ class CascadeDetector:
             phi = track_power(values, silent, cfg, self._power)
         z = _whitened_residues(values, phi, cfg)
         branches = matched_filter_bank(_synthesize(z, cfg, self._sfb), cfg, self._mf)
-        n_win = branches.shape[1]
-        anchors = (self._mf.next_anchor - n_win + np.arange(n_win)) * cfg.num_subbands
-        keep = anchors >= self._min_anchor
-        anchors = anchors[keep]
+        # anchors ascend, so the windows before the first scored one lead
+        stop = self._mf.next_anchor
+        start = max(stop - branches.shape[1], self._min_anchor // cfg.num_subbands)
+        anchors = np.arange(start, stop) * cfg.num_subbands
+        branches = branches[:, branches.shape[1] - anchors.size :]
         # ascending branch order for any window count: numpy's sum over
         # one column goes pairwise, which rounds differently from p >= 8
-        energies = np.zeros(n_win)
-        for row in branches:
-            energies += row.real**2 + row.imag**2
-        energies = energies[keep]
+        sq = np.square(branches.view(np.float64))
+        energies = np.zeros(anchors.size)
+        for row in np.add(sq[:, ::2], sq[:, 1::2]):
+            energies += row
         if self._power is None:
             beta = self._beta
         else:

@@ -78,7 +78,7 @@ def _phi_array(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim == 0 or phi.shape[-1] == 0:
         raise ValueError("phi must be nonempty")
-    if not np.all(phi > 0.0):
+    if not (phi > 0.0).all():
         raise ValueError("phi entries must be positive")
     return phi
 
@@ -96,7 +96,7 @@ def compute_beta(phi, preamble_length: int, num_subbands: int) -> float | np.nda
         raise ValueError("phi must be (num_subbands,) or (rows, num_subbands)")
     if preamble_length < 1:
         raise ValueError("preamble_length must be >= 1")
-    beta = preamble_length / num_subbands * np.sum(1.0 / phi, axis=-1)
+    beta = preamble_length / num_subbands * np.add.reduce(1.0 / phi, axis=-1)
     return float(beta) if phi.ndim == 1 else beta
 
 

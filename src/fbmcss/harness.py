@@ -193,6 +193,9 @@ class _Bundle:
     pulse: ComplexSignal
     tx: ComplexSignal
     rho: ComplexSignal
+    # the unit channel's calibration taps, those of every noise trial and
+    # of every signal trial without a channel profile
+    unit_theta: np.ndarray = field(repr=False)
     radio_cfgs: tuple[ChannelizerConfig, ...]
     thr: float
     lead_symbols_lo: int
@@ -239,12 +242,14 @@ def _bundle(scenario: Scenario) -> _Bundle:
     trail = 2 * wf.prototype.span_symbols * l + 2 * l
     # called through its module, so a wrapper put there sees the call
     pulse = waveform.synthesize_pulse(wf)
+    rho = composite_pulse(wf)
     built = _Bundle(
         wf=wf,
         cfg=radio_cfgs[0],
         pulse=pulse,
         tx=generate_preamble(wf, pulse),
-        rho=composite_pulse(wf),
+        rho=rho,
+        unit_theta=effective_taps(_UNIT_CHANNEL, rho, det.p, 1.0 / wf.sample_rate_hz),
         radio_cfgs=radio_cfgs,
         thr=threshold(det.p_fa, det.p, grid_hz.size),
         lead_symbols_lo=lead_lo,
@@ -357,16 +362,14 @@ def _calibration_taps(scenario: Scenario, channel: ChannelRealization, bundle: _
     the detector's p hypotheses, so eta measures the energy the channel
     actually delivers.  A detector whose p undershoots the true spread
     then pays the lost energy as a visible curve shift instead of the
-    calibration quietly renormalizing it away.
+    calibration quietly renormalizing it away.  Without a channel
+    profile the taps are the bundle's unit_theta.
     """
     wf = bundle.wf
-    p_cal = scenario.detector.p
-    prof = scenario.channel_profile
-    if prof is not None:
-        spread = math.ceil(prof.target_95pct_duration_ns * 1e-9 * wf.sample_rate_hz)
-        p_cal = min(
-            wf.prototype.span_symbols * wf.num_subbands, p_cal + spread + 16
-        )
+    spread = math.ceil(
+        scenario.channel_profile.target_95pct_duration_ns * 1e-9 * wf.sample_rate_hz
+    )
+    p_cal = min(wf.prototype.span_symbols * wf.num_subbands, scenario.detector.p + spread + 16)
     return effective_taps(channel, bundle.rho, p_cal, 1.0 / wf.sample_rate_hz)
 
 
@@ -379,10 +382,10 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
         channel = generate_multipath(scenario.channel_profile, seed=_draw_seed(rng))
         # the channel filters the short pulse; the train is then rebuilt
         rx = generate_preamble(wf, apply_channel(bundle.pulse, channel))
+        theta = _calibration_taps(scenario, channel, bundle)
     else:
-        channel = _UNIT_CHANNEL
         rx = bundle.tx
-    theta = _calibration_taps(scenario, channel, bundle)
+        theta = bundle.unit_theta
     n0 = noise_psd_from_eta(eta_db, theta, wf.num_subbands)
 
     l = wf.num_subbands
@@ -406,8 +409,7 @@ def _noise_trial(scenario: Scenario, eta_db: float, index: int) -> tuple[int, in
     wf = bundle.wf
     l = wf.num_subbands
     rng = _trial_rng(scenario, eta_db, _TAG_NOISE, index)
-    theta = effective_taps(_UNIT_CHANNEL, bundle.rho, scenario.detector.p, 1.0 / wf.sample_rate_hz)
-    n0 = noise_psd_from_eta(eta_db, theta, l)
+    n0 = noise_psd_from_eta(eta_db, bundle.unit_theta, l)
     warmup = bundle.lead_symbols_lo * l
     windows_here = min(scenario.noise_windows, 512)
     length = warmup + windows_here * l + wf.preamble_length * l + bundle.trail_samples

@@ -216,3 +216,9 @@ class TestAssembleStream:
         g = synthesize_pulse(config)
         stream = assemble_stream(g, 200, 0, noise_psd=1e-12, seed=3)
         assert np.allclose(stream.samples[200 : 200 + len(g)], g.samples, atol=1e-4)
+
+    @pytest.mark.parametrize("noise_psd", [-1.0, float("nan"), float("inf")])
+    def test_invalid_noise_psd_refused(self, noise_psd):
+        nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), 1e6)
+        with pytest.raises(ValueError, match="noise_psd"):
+            assemble_stream(nothing, 0, 64, noise_psd=noise_psd, seed=1)

@@ -19,6 +19,7 @@ from fbmcss.channelizer import (
     _MF_BLOCK_ELEMENTS,
     _POWER_FLOOR_RATIO,
     _PUSH_SAMPLES,
+    _SYNTH_BLOCK_ELEMENTS,
     CascadeDetector,
     ChannelizerConfig,
     _interp_taps,
@@ -487,6 +488,11 @@ class TestBandPowerTracking:
         x[gap : gap + 3 * l] = 0.0
         rows = tracked_profiles(x, c)
         oracle = oracle_profiles(x, c)
+        # pushes of 1, 2 and 37 samples across the close of block 3: hop
+        # 3*cap - 1 completes at sample (3*cap - 1)*hop + span
+        close = (3 * cap - 1) * c.hop + c.waveform.prototype.taps.size
+        small = tracked_profiles(x, c, [close - 100] + [1, 2, 37] * 6)
+        assert small.tobytes() == rows.tobytes()
         assert rows.shape[0] >= 60 * cap
         assert cap < np.count_nonzero(np.isinf(oracle[cap:, 0])) < 3 * cap
         assert rows.shape == oracle.shape
@@ -731,10 +737,11 @@ class TestSynthesis:
         # emits exactly the frames whose p residues u holds so far; short
         # pushes hold frames back over several calls
         assert cfg.hop * r == L
-        x = white(6000, 1.0, 21)
+        x = white(64000, 1.0, 21)
         # silent stretches give hops of exact (signed) zeros
         x[1000:1600] = 0.0
         x[3000:3600] = complex(-0.0, -0.0)
+        x[9000:9600] = complex(0.0, -0.0)
         phi = np.linspace(0.5, 2.0, L)
         cuts = ([x.size], [0, 1, 37, 1, 0, 500, 37, 2000, 37, x.size], [0, 1] + [37] * 80)
         for steps in cuts:
@@ -757,6 +764,10 @@ class TestSynthesis:
                     assert block.tobytes() == residue_block(y, p).tobytes()
                     assert block.shape == (p, max(0, (y.size - p) // L + 1))
                 assert block.shape[1] > 100
+                if len(steps) == 1:
+                    # the one-shot push spans at least 3 reduction blocks
+                    per_block = max(1, _SYNTH_BLOCK_ELEMENTS // (2 * c.lag_hops * p))
+                    assert block.shape[1] >= 3 * per_block
 
     @pytest.mark.parametrize("l", [16, 24])
     def test_whitening_matches_complex_gain_form_bitwise(self, l):
@@ -947,26 +958,31 @@ class TestMatchedFilterBank:
         # the table gathers the products the direct form computes and sums
         # them in its order, for any alphabet, whole or cut into frames
         symbols = comb_alphabets()[alphabet]
-        c = ChannelizerConfig(dataclasses.replace(wf, preamble_symbols=symbols), P)
-        # the alphabet of conj(s[n]), odd n negated, by bit pattern: -1 - 0j
-        # is not -(1 - 0j), and the QPSK points are not antipodal to the bit
-        sizes = {"one": 2, "bpsk": 4, "qpsk": 8, "signed_zeros": 4, "distinct": 64}
-        assert c.symbol_values.size == sizes[alphabet]
-        comb = DirectFormComb(c)
-        assert c.symbol_values[c.symbol_index].tobytes() == comb.conj.tobytes()
-        # three comb blocks of windows: the silent stretches fall in the first,
-        # in the second and across the edge of the second and third
-        frames = symbols.size - 1 + 3 * max(1, _MF_BLOCK_ELEMENTS // symbols.size)
-        block = signed_zero_block(P, frames, 41)
-        oracle = comb(block).tobytes()
-        assert matched_filter_bank(block, c, mf_state(c)).tobytes() == oracle
-        state = mf_state(c)
-        pieces = []
-        lo = 0
-        for step in (0, 1, 3, 37, frames):
-            pieces.append(matched_filter_bank(block[:, lo : lo + step], c, state))
-            lo += step
-        assert np.concatenate(pieces, axis=1).tobytes() == oracle
+        # p = L - 1 cuts the branches into several groups, the last one short
+        for p in (P, L - 1):
+            c = ChannelizerConfig(dataclasses.replace(wf, preamble_symbols=symbols), p)
+            # the alphabet of conj(s[n]), odd n negated, by bit pattern: -1 - 0j
+            # is not -(1 - 0j), and the QPSK points are not antipodal to the bit
+            sizes = {"one": 2, "bpsk": 4, "qpsk": 8, "signed_zeros": 4, "distinct": 64}
+            assert c.symbol_values.size == sizes[alphabet]
+            comb = DirectFormComb(c)
+            assert c.symbol_values[c.symbol_index].tobytes() == comb.conj.tobytes()
+            # three comb blocks of windows: the silent stretches fall in the first,
+            # in the second and across the edge of the second and third
+            frames = symbols.size - 1 + 3 * max(1, _MF_BLOCK_ELEMENTS // symbols.size)
+            block = signed_zero_block(p, frames, 41)
+            oracle = comb(block).tobytes()
+            assert matched_filter_bank(block, c, mf_state(c)).tobytes() == oracle
+            # calls of 8, 1 and 100 windows take the branches in groups:
+            # all p, all p and 2 of them with the small alphabets, 3, 4 and
+            # 1 with the 64-value one, so some last groups are short
+            state = mf_state(c)
+            pieces = []
+            lo = 0
+            for step in (0, 1, 3, 37, 30, 1, 100, frames):
+                pieces.append(matched_filter_bank(block[:, lo : lo + step], c, state))
+                lo += step
+            assert np.concatenate(pieces, axis=1).tobytes() == oracle
 
     def test_peak_memory_is_one_branch_table(self, wf):
         # per-branch tables hold D*frames products at a time; one table for
