@@ -25,9 +25,8 @@ Every stage takes (input, cfg, state) and advances that state:
   plus the prefix of the next, so its sum is the closed block's reverse
   cumulative sum plus the open block's running sum (the aligned-block
   sliding-window aggregation of Tangwongsan, Hirzel and Schneider,
-  PVLDB 2015), O(L) per hop; the whole blocks of a push take both
-  cumulative sums in one array call each, the open block's running sum
-  and its close go row by row, and phi = L * (sum /
+  PVLDB 2015), O(L) per hop; one routine takes both sums row by row
+  across all the blocks a push fills, and phi = L * (sum /
   fifo_capacity), floored at a fraction of the hop's median band in the
   rows where that floor can bind;
 - `_whitened_residues` (stateless) scales each band by its conjugate
@@ -355,26 +354,44 @@ def _silent_hops(chunk, cfg: ChannelizerConfig, state: AnalysisState) -> np.ndar
     return seen[k : k + n_hops] > seen[:n_hops]
 
 
-def _extend_open_block(power: np.ndarray, sums: np.ndarray, r: int, state: PowerState) -> None:
-    """Window sums for hops that fill the open block from its row r on.
+def _block_sums(power: np.ndarray, sums: np.ndarray, state: PowerState) -> None:
+    """Window sums of hops that go on from the open block's row r.
 
-    Hop r + i sums block[r + i] + (fwd + power[0] + ... + power[i - 1]),
-    one running sum; the rows then join the block, and a block they
-    complete closes into its suffix sums, in place.  Both sums go row by
-    row, the order of an axis-0 cumsum at a fraction of its cost.
+    power and sums are (hops, L) slices: the rest of the open block,
+    whole blocks, or one partial block from row 0, seen as (blocks,
+    rows, L).  Row r + j of a block sums its own rows before r + j, a
+    running sum that goes up the rows from state.fwd (+0.0 where a block
+    starts), plus the suffix from row r + j of the block before: the
+    first block's is in state.block, the others' are formed in place in
+    power, going down the rows of every block that fills and on through
+    the open block's rows below r in state.block.  Each pass is one
+    np.add per row position across all blocks, the order of an axis-0
+    cumsum.
     """
     cap = state.block.shape[0]
-    end = r + power.shape[0]
-    fwd = state.fwd
-    for i, row in enumerate(power):
-        np.add(state.block[r + i], fwd, out=sums[i])
-        np.add(fwd, row, out=fwd)
-    state.block[r:end] = power
+    l = power.shape[1]
+    r = state.next_hop % cap
+    n = min(power.shape[0], cap - r)
+    end = r + n
+    power = power.reshape(-1, n, l)
+    sums = sums.reshape(power.shape)
+    sums[:, 0] = state.fwd
+    for j in range(1, n):
+        np.add(sums[:, j - 1], power[:, j - 1], out=sums[:, j])
+    if end < cap:
+        np.add(sums[0, -1], power[0, -1], out=state.fwd)
+    else:
+        for j in range(n - 2, -1, -1):
+            np.add(power[:, j + 1], power[:, j], out=power[:, j])
+        sums[1:] += power[:-1]
+        state.fwd[:] = 0.0
+    block = state.block
+    sums[0] += block[r:end]
+    block[r:end] = power[-1]
     if end == cap:
-        block = state.block
-        for i in range(cap - 2, -1, -1):
+        for i in range(r - 1, -1, -1):
             np.add(block[i + 1], block[i], out=block[i])
-        fwd[:] = 0.0
+    state.next_hop += power.shape[0] * n
 
 
 def track_power(
@@ -386,18 +403,17 @@ def track_power(
     flags its silent hops.  Hop h = b*cap + r (cap = fifo_capacity) sums
     |x|^2 over hops [h - cap, h): the suffix of block b - 1 from row r
     plus the rows of block b before r.  The hops that finish the open
-    block extend its running sum; the whole blocks after them are summed
-    at once as a (blocks, cap, L) array, whose cumulative sums along the
-    block give every hop's prefix and every block's suffixes, each the
-    same terms in the same order as one hop at a time (a block's running
-    sum starts at its first row, not at 0.0 plus it, which is the same
-    for any sum of squares); a partial last block becomes the open one.  phi = L * (sum / cap) is
-    L times the band's mean subband power, the reference plane of the
-    chi-squared threshold calibration (the analysis filter has unit
-    energy), floored at _POWER_FLOOR_RATIO times the hop's median band
-    so silent bands cannot blow up the whitening division.  A silent
-    hop's |x|^2 row is +inf, unknown power (past one, the filter
-    transient would pass for the noise level); a zero median gives +inf.
+    block, the whole blocks after them and a partial last block, which
+    becomes the open one, each go to _block_sums: the same terms in the
+    same order as one hop at a time, whatever the cuts (a running sum
+    starts at +0.0, which a sum of squares or +inf does not move).
+    phi = L * (sum / cap) is L times the band's mean subband power, the
+    reference plane of the chi-squared threshold calibration (the
+    analysis filter has unit energy), floored at _POWER_FLOOR_RATIO
+    times the hop's median band so silent bands cannot blow up the
+    whitening division.  A silent hop's |x|^2 row is +inf, unknown
+    power (past one, the filter transient would pass for the noise
+    level); a zero median gives +inf.
     The median is taken only in rows where the floor can bind: in a row
     of positive values whose least is at least _POWER_FLOOR_RATIO times
     its greatest, the floor, at most that fraction of the greatest, is
@@ -412,23 +428,11 @@ def track_power(
     power = np.add(sq[:, ::2], sq[:, 1::2])
     power[silent] = np.inf
     sums = np.empty((hops, l))
-    r = state.next_hop % cap
-    head = min(hops, -r % cap)
+    head = min(hops, -state.next_hop % cap)
     tail = (hops - head) % cap
-    if head:
-        _extend_open_block(power[:head], sums[:head], r, state)
-    if hops - tail > head:
-        whole = power[head : hops - tail].reshape(-1, cap, l)
-        out = sums[head : hops - tail].reshape(whole.shape)
-        out[:, 0] = 0.0
-        np.cumsum(whole[:, :-1], axis=1, out=out[:, 1:])
-        suffix = np.cumsum(whole[:, ::-1], axis=1)[:, ::-1]
-        out[0] += state.block
-        out[1:] += suffix[:-1]
-        state.block[:] = suffix[-1]
-    if tail:
-        _extend_open_block(power[hops - tail :], sums[hops - tail :], 0, state)
-    state.next_hop += hops
+    for lo, hi in ((0, head), (head, hops - tail), (hops - tail, hops)):
+        if hi > lo:
+            _block_sums(power[lo:hi], sums[lo:hi], state)
     # phi = L * (sum / cap), in place
     phi = sums
     phi /= cap

@@ -212,7 +212,7 @@ def _bundle(scenario: Scenario) -> _Bundle:
         return cached
     wf = scenario.waveform.build()
     det = scenario.detector
-    radio_cfgs = (ChannelizerConfig(wf, det.p),)
+    radio_wfs = [wf]
     if det.radios > 1:
         # radio m sees the K-band waveform of bands [mK, (m+1)K) after an
         # ideal band split; its quadrature stagger restarts at its first
@@ -220,18 +220,11 @@ def _bundle(scenario: Scenario) -> _Bundle:
         # statistics are magnitude based, so that phase never matters
         k = wf.num_subbands // det.radios
         proto = design_prototype_filter(k, wf.prototype.span_symbols, wf.prototype.rolloff)
-        radio_cfgs = tuple(
-            ChannelizerConfig(
-                dataclasses.replace(
-                    wf,
-                    num_subbands=k,
-                    prototype=proto,
-                    code=SpreadingCode(wf.code.signs[m * k : (m + 1) * k]),
-                ),
-                det.taps_per_radio,
-            )
-            for m in range(det.radios)
-        )
+        radio_wfs = [
+            dataclasses.replace(wf, num_subbands=k, prototype=proto, code=SpreadingCode(signs))
+            for signs in wf.code.signs.reshape(det.radios, k)
+        ]
+    radio_cfgs = tuple(ChannelizerConfig(w, det.taps_per_radio) for w in radio_wfs)
     # the radio configs share their sizes, so radio 0's warm-up is every radio's
     warmup = tracked_first_anchor(radio_cfgs[0]) * det.radios
     l = wf.num_subbands

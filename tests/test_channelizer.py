@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sps
 
-from fbmcss import channelizer
+from fbmcss import channelizer, harness
 from fbmcss.channel import assemble_stream
 from fbmcss.channelizer import (
     _AFB_BLOCK_ELEMENTS,
@@ -75,6 +75,13 @@ def wf_big():
 @pytest.fixture(scope="module")
 def cfg_big(wf_big):
     return ChannelizerConfig(wf_big, 4)
+
+
+@pytest.fixture(scope="module")
+def cfg_cap10():
+    # N = 5: a fifo capacity of 10 hops, which differs from L
+    spec = WaveformSpec(L, 5, symbol_duration_s=L / FS, sign_seed=3, symbol_seed=5)
+    return ChannelizerConfig(spec.build(), P)
 
 
 def white(n, var, seed):
@@ -571,18 +578,25 @@ class TestBandPowerTracking:
         assert np.all(phi[[5, 6, 7, 9]] == np.inf)
 
     @given(
-        head=st.integers(1, 15),
+        short=st.booleans(),
+        data=st.data(),
         blocks=st.integers(3, 5),
-        tail=st.integers(1, 15),
         silent=st.sets(st.integers(0, 150), max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_whole_blocks_equal_hop_at_a_time(self, cfg, head, blocks, tail, silent, seed):
+    def test_whole_blocks_equal_hop_at_a_time(
+        self, cfg, cfg_cap10, short, data, blocks, silent, seed
+    ):
         # one push finishes an open block, spans whole blocks and opens a
-        # partial one; pushed one hop at a time, no block is ever whole
+        # partial one; pushed one hop at a time, no block is ever whole.
+        # cap = 16 = L, or 10 != L, which a block sum that mixes up its
+        # block and band axes cannot pass
+        cfg = cfg_cap10 if short else cfg
         cap = cfg.fifo_capacity
-        assert cap == 16
+        assert cap == (10 if short else L)
+        head = data.draw(st.integers(1, cap - 1), label="head")
+        tail = data.draw(st.integers(1, cap - 1), label="tail")
         lead = 2 * cap - head
         hops = lead + head + blocks * cap + tail
         values = white(hops * L, 1.0, seed).reshape(-1, L)
@@ -1375,6 +1389,7 @@ def direct_pass(x, cfg, phi):
 TRACKED_DIGESTS = [
     ("desk", 600_000, "c51849db260a9a69"),
     ("narrowband", 2_500_000, "e2561afdcd615e21"),
+    ("wideband_short", 600_000, "967366f3e51e25de"),
 ]
 
 
@@ -1479,12 +1494,17 @@ class TestBoundedPush:
         if not tracked:
             assert whole[1].tobytes() == direct_pass(x, cfg, phi).tobytes()
 
-    @pytest.mark.parametrize("name,n,digest", TRACKED_DIGESTS, ids=["desk", "narrowband"])
+    @pytest.mark.parametrize(
+        "name,n,digest", TRACKED_DIGESTS, ids=["desk", "narrowband", "wideband_short_radio0"]
+    )
     def test_tracked_bytes_pinned(self, request, name, n, digest):
         # tracked anchors and statistics, one-shot and in 37,037-sample
         # pushes, over noise with zeroed and -0.0 stretches
         if name == "narrowband":
             cfg = request.getfixturevalue("narrowband")[0]
+        elif name == "wideband_short":
+            # radio 0 of 8: K = 512, p = 13, cap = 126, 8 whole blocks a pass
+            cfg = harness._bundle(preset(name)).cfg
         else:
             sc = preset(name)
             cfg = ChannelizerConfig(sc.waveform.build(), sc.detector.p)

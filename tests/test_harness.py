@@ -633,6 +633,22 @@ class TestBundle:
         assert len(bundle.rho) == 2 * span * 4096 + 1
         assert peak <= 200 * 2**20
 
+    @pytest.mark.parametrize("name,builds", [("desk", 1), ("wideband_short", 8)])
+    def test_one_channelizer_config_per_radio(self, name, builds, monkeypatch):
+        # an MRB bundle builds its radios' configs and no full-band one
+        calls = []
+        build = harness.ChannelizerConfig
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness, "ChannelizerConfig", counted)
+        monkeypatch.setattr(harness, "_BUNDLES", {})
+        sc = cached_preset(name)
+        bundle = harness._bundle(sc)
+        assert len(calls) == builds == sc.detector.radios == len(bundle.radio_cfgs)
+
     def test_radios_share_one_prototype(self):
         # the K-band prototype is designed once per bundle, not per radio
         bundle = harness._bundle(cached_preset("wideband_short"))
