@@ -157,6 +157,10 @@ def apply_cfo(signal: ComplexSignal, delta_f_hz: float) -> ComplexSignal:
     return ComplexSignal(signal.samples * rot, signal.sample_rate_hz)
 
 
+# standard normal draws per pass of assemble_stream (512 KiB of float64)
+_NOISE_DRAW_SAMPLES = 1 << 16
+
+
 def assemble_stream(
     preamble_rx: ComplexSignal,
     lead_samples: int,
@@ -168,7 +172,13 @@ def assemble_stream(
 
     Noise (per-sample variance `noise_psd`, stream plane) covers the
     whole stream: lead, preamble section, and trail.  A zero-length
-    preamble gives a noise-only stream at its sample rate.
+    preamble gives a noise-only stream at its sample rate.  The noise
+    is scale * (re + 1j * im), re and im each one standard normal draw
+    of the stream's length, in that order: it is drawn _NOISE_DRAW_SAMPLES
+    at a time into one buffer and scaled straight into the real parts,
+    then the imaginary parts, so no full-length temporary is made.  For
+    noise_psd > 0 the bytes equal that expression's; at noise_psd = 0
+    only the signs of its zero samples can differ.
     """
     if lead_samples < 0 or trail_samples < 0:
         raise ValueError("lead and trail must be >= 0")
@@ -178,6 +188,12 @@ def assemble_stream(
     total = lead_samples + body.size + trail_samples
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise_psd / 2.0)
-    stream = scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
+    stream = np.empty(total, dtype=np.complex128)
+    draw = np.empty(min(total, _NOISE_DRAW_SAMPLES))
+    for part in (stream.real, stream.imag):
+        for lo in range(0, total, _NOISE_DRAW_SAMPLES):
+            n = min(_NOISE_DRAW_SAMPLES, total - lo)
+            rng.standard_normal(out=draw[:n])
+            np.multiply(draw[:n], scale, out=part[lo : lo + n])
     stream[lead_samples : lead_samples + body.size] += body
     return ComplexSignal(stream, preamble_rx.sample_rate_hz)

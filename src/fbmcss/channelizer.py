@@ -47,8 +47,14 @@ Every stage takes (input, cfg, state) and advances that state:
 
 `CascadeDetector.push` runs that chain over slices of at most
 `_PUSH_SAMPLES` input samples, so its memory does not grow with the
-push; one path serves every push length, and a short push pays a fixed
-cost of a few dozen numpy calls per stage.  Tracked whitening needs a full
+push.  A one-slice push runs the chain inline and pays a fixed cost of a
+few dozen numpy calls per stage.  A longer push runs the front end
+(`_silent_hops`, `afb_process`, `track_power`: the stages that own the
+analysis and power states) on one worker thread, one slice ahead of the
+rest of the chain, which overlaps because numpy releases the GIL inside
+its ufunc loops and FFTs.  Each stage state is touched by one thread
+and sees the same slices in the same order, so no byte depends on the
+scheduling.  Tracked whitening needs a full
 window before its first hop, which delays the first scored anchor;
 `tracked_first_anchor` is that rule.  With phi pinned every stage is
 local, and `input_span` names the input samples a run of windows reads,
@@ -76,6 +82,7 @@ and one-shot processing bit-identical.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -671,9 +678,14 @@ def matched_filter_bank(
     return out
 
 
-# input samples per pass of the stage chain: a pass makes 2^19 / L hops,
-# so its (hops, L) blocks are 8 MiB each at any L and any push length
-_PUSH_SAMPLES = 1 << 18
+# input samples per pass of the stage chain: a pass makes 2^18 / L hops,
+# so its (hops, L) blocks are 4 MiB each at any L and any push length.
+# A long push has two passes in flight, the worker's front end and the
+# back end here, so they hold what one pass of 2^18 held: on a 2-vCPU
+# Xeon, narrowband_point read a peak RSS of 152 MB with two 2^18-sample
+# passes in flight, 127-131 MB at 2^17, and 138 MB with one 2^18 pass
+# at a time
+_PUSH_SAMPLES = 1 << 17
 
 
 class CascadeDetector:
@@ -690,7 +702,10 @@ class CascadeDetector:
     rule.  A window's beta is that of the newest hop it reaches, which
     is always one whitened in the same pass of the chain; a window whose
     newest hop has no estimate scores 0.0.  Samples that are not one
-    finite vector are refused before any stage state moves.
+    finite vector are refused before any stage state moves.  A push of
+    two or more slices runs _front on a worker thread one slice ahead of
+    _back (module text); the worker belongs to that push and is joined
+    before it returns or raises.
     """
 
     def __init__(self, cfg: ChannelizerConfig, power_override=None):
@@ -727,23 +742,38 @@ class CascadeDetector:
         if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
         # an empty push runs the chain once, for its empty arrays
-        parts = [
-            self._run(x[lo : lo + _PUSH_SAMPLES])
-            for lo in range(0, max(x.size, 1), _PUSH_SAMPLES)
-        ]
+        slices = [x[lo : lo + _PUSH_SAMPLES] for lo in range(0, max(x.size, 1), _PUSH_SAMPLES)]
+        if len(slices) == 1:
+            parts = [self._back(*self._front(x))]
+        else:
+            parts = []
+            with concurrent.futures.ThreadPoolExecutor(1) as worker:
+                ahead = worker.submit(self._front, slices[0])
+                for k in range(len(slices)):
+                    front = ahead.result()
+                    if k + 1 < len(slices):
+                        ahead = worker.submit(self._front, slices[k + 1])
+                    parts.append(self._back(*front))
         return np.concatenate([a for a, _ in parts]), np.concatenate([s for _, s in parts])
 
-    def _run(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One pass of the stage chain over validated samples."""
+    def _front(self, x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """One slice through the stages that own _afb and _power.
+
+        Returns the slice's first hop, its (hops, L) analysis block and phi.
+        """
         cfg = self.cfg
         first_hop = self._afb.next_hop
         if self._power is None:
-            values = afb_process(x, cfg, self._afb)
-            phi = self._phi
-        else:
-            silent = _silent_hops(x, cfg, self._afb)
-            values = afb_process(x, cfg, self._afb)
-            phi = track_power(values, silent, cfg, self._power)
+            return first_hop, afb_process(x, cfg, self._afb), self._phi
+        silent = _silent_hops(x, cfg, self._afb)
+        values = afb_process(x, cfg, self._afb)
+        return first_hop, values, track_power(values, silent, cfg, self._power)
+
+    def _back(
+        self, first_hop: int, values: np.ndarray, phi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rest of the chain over one slice's _front; returns (anchors, statistics)."""
+        cfg = self.cfg
         z = _whitened_residues(values, phi, cfg)
         branches = matched_filter_bank(_synthesize(z, cfg, self._sfb), cfg, self._mf)
         # anchors ascend, so the windows before the first scored one lead

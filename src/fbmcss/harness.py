@@ -388,6 +388,8 @@ def _signal_trial(scenario: Scenario, eta_db: float, trial: int) -> bool:
     stream = assemble_stream(
         rx, lead, bundle.trail_samples, noise_psd=n0 / l, seed=_draw_seed(rng)
     )
+    # the stream holds the received preamble now; the push need not keep it too
+    del rx
     if scenario.cfo_range_hz > 0.0:
         df = float(rng.uniform(-scenario.cfo_range_hz, scenario.cfo_range_hz))
         stream = apply_cfo(stream, df)

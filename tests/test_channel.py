@@ -1,6 +1,9 @@
 """Impairment-chain contracts: multipath statistics, SNR calibration, CFO,
 and stream assembly."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,30 @@ class TestAssembleStream:
         g = synthesize_pulse(config)
         stream = assemble_stream(g, 200, 0, noise_psd=1e-12, seed=3)
         assert np.allclose(stream.samples[200 : 200 + len(g)], g.samples, atol=1e-4)
+
+    @pytest.mark.parametrize("noise_psd", [1e-12, 1.0 / 16, 2.0])
+    @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+    def test_noise_equals_scaled_draws_bitwise(self, n, noise_psd):
+        # the draw buffer's edges at 2^16 samples change no byte of the
+        # written-out expression, re drawn over the whole stream, then im
+        nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), 1e6)
+        stream = assemble_stream(nothing, 0, n, noise_psd=noise_psd, seed=11).samples
+        rng = np.random.default_rng(11)
+        scale = math.sqrt(noise_psd / 2.0)
+        expected = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert stream.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_the_stream_and_one_draw_buffer(self):
+        # 2^20 samples: the stream is 16 MiB and the draw buffer 0.5 MiB;
+        # full-length draws and complex temporaries would double the peak
+        nothing = ComplexSignal(np.zeros(0, dtype=np.complex128), 1e6)
+        tracemalloc.start()
+        try:
+            assemble_stream(nothing, 0, 1 << 20, noise_psd=1.0, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17.5 * 2**20
 
     @pytest.mark.parametrize("noise_psd", [-1.0, float("nan"), float("inf")])
     def test_invalid_noise_psd_refused(self, noise_psd):

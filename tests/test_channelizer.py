@@ -3,6 +3,8 @@ filtering, and the end-to-end streaming detector."""
 
 import dataclasses
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1468,6 +1470,45 @@ class TestBoundedPush:
         rest = det.push(stream[1000:])
         for k in range(2):
             assert np.concatenate([head[k], rest[k]]).tobytes() == whole[k].tobytes()
+
+    def test_push_bytes_independent_of_thread_switching(self, cfg, stream):
+        # the worker thread and this one may swap every microsecond; the
+        # pushes of 37,037 samples each run on this thread alone
+        det = CascadeDetector(cfg)
+        step = 37 * 1001
+        parts = [det.push(stream[lo : lo + step]) for lo in range(0, stream.size, step)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            whole = CascadeDetector(cfg).push(stream)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(2):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["calibrated", "tracked"])
+    def test_error_on_a_later_slice_raised_and_worker_joined(
+        self, cfg, stream, tracked, monkeypatch
+    ):
+        # the second slice's analysis runs on the worker thread
+        override = None if tracked else np.full(L, N0)
+        det = CascadeDetector(cfg, power_override=override)
+        error = RuntimeError("analysis failed")
+        calls = []
+
+        def failing(x, cfg, state):
+            calls.append(x.size)
+            if len(calls) == 2:
+                raise error
+            return afb_process(x, cfg, state)
+
+        monkeypatch.setattr(channelizer, "afb_process", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            det.push(stream)
+        assert raised.value is error
+        assert calls == [_PUSH_SAMPLES, _PUSH_SAMPLES]
+        assert threading.active_count() == threads
 
     @pytest.fixture(scope="class")
     def narrowband(self):
